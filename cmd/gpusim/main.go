@@ -19,17 +19,8 @@
 //	       [-scale baseline|l1|l2|dram|l1l2|l2dram|all]
 //	       [-warmup 6000] [-window 20000] [-fixed-latency -1]
 //	       [-config file.json] [-dump-config] [-seed 1]
-//	       [-engine event|cycle] [-cache-dir DIR]
+//	       [-cache-dir DIR]
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
-//
-// -engine selects the time-advancement strategy: "event" (default)
-// batch-skips provably frozen spans via next-event scheduling; "cycle"
-// ticks every component every cycle — the slow reference loop kept as
-// a diagnostic oracle. The printed report is guaranteed byte-identical
-// under either engine (the equivalence property tests and the golden
-// files pin this), which is also why -engine composes safely with
-// -cache-dir: an entry computed by one engine is a valid hit for the
-// other.
 //
 // -cache-dir points at a gpusimd result-cache directory: jobs already
 // measured (by either tool) decode from the cache instead of
@@ -65,7 +56,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		tracePth = flag.String("trace", "", "replay a tracegen-recorded trace instead of a built-in workload")
 		stalls   = flag.Bool("stalls", false, "append each workload's stall stack (per-cycle issue-slot attribution)")
-		engine   = flag.String("engine", "event", "time-advancement engine: event (next-event scheduler, the default) or cycle (per-cycle reference loop). The report is guaranteed byte-identical either way — cycle exists as the slow oracle for diagnosing the event engine, never as a way to get different numbers")
 		cacheDir = flag.String("cache-dir", "", "reuse a gpusimd result cache: cached jobs skip simulation, fresh jobs are stored for next time")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
@@ -159,16 +149,11 @@ func main() {
 			}
 		}
 	}
-	eng, err := gpgpumem.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
 	batch := make([]gpgpumem.Job, len(wls))
 	for i, wl := range wls {
 		batch[i] = gpgpumem.Job{
 			Config: cfg, Workload: wl,
 			WarmupCycles: *warmup, WindowCycles: *window,
-			Engine: eng,
 		}
 	}
 	// Profiling brackets exactly the simulations, and both profiles

@@ -41,30 +41,6 @@ func TestGpusimWorkloadFile(t *testing.T) {
 	}
 }
 
-// TestGpusimEngineFlag: -engine=cycle (the per-cycle reference loop)
-// must print exactly the bytes of the default -engine=event report —
-// the flag's documented equivalence guarantee — including a
-// multi-phase scenario and a fixed-latency (Fig. 1) run, and an
-// unknown engine is a loud error.
-func TestGpusimEngineFlag(t *testing.T) {
-	bin := clitest.Build(t, "repro/cmd/gpusim")
-	for _, args := range [][]string{
-		{"-workload", "sc,kmeans", "-warmup", "200", "-window", "600", "-stalls"},
-		{"-workload", "cfd", "-warmup", "200", "-window", "600", "-fixed-latency", "400"},
-	} {
-		event, _ := clitest.Run(t, bin, append(args, "-engine", "event")...)
-		cycle, _ := clitest.Run(t, bin, append(args, "-engine", "cycle")...)
-		if event != cycle {
-			t.Fatalf("%v: -engine=cycle report differs from -engine=event:\n--- event\n%s\n--- cycle\n%s",
-				args, event, cycle)
-		}
-	}
-	stderr := clitest.RunExpectError(t, bin, "-workload", "sc", "-engine", "warp")
-	if !strings.Contains(stderr, "unknown engine") {
-		t.Fatalf("unknown -engine error not surfaced: %s", stderr)
-	}
-}
-
 // TestGpusimStallsFlag: -stalls appends one stall-stack section per
 // workload after the normal report, and leaves the report itself
 // untouched (the golden bytes must not depend on the flag).

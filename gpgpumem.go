@@ -217,26 +217,8 @@ type RunParams = exp.RunParams
 func DefaultRunParams() RunParams { return exp.DefaultRunParams() }
 
 // Job is one independent simulation for MeasureBatch: a configuration,
-// a workload, and the warmup/window methodology. Its Engine field
-// (default EngineEvent) selects the time-advancement strategy.
+// a workload, and the warmup/window methodology.
 type Job = runner.Job
-
-// Engine selects how a simulation advances through time. The choice is
-// observably irrelevant — Results are byte-identical under either
-// engine; only wall-clock time differs.
-type Engine = sim.Engine
-
-const (
-	// EngineEvent is the default next-event scheduler: provably frozen
-	// spans are batch-skipped instead of ticked cycle by cycle.
-	EngineEvent = sim.EngineEvent
-	// EngineCycle is the per-cycle reference loop, kept as the slow,
-	// obviously correct oracle (gpusim -engine=cycle).
-	EngineCycle = sim.EngineCycle
-)
-
-// ParseEngine parses the -engine flag spellings "event" and "cycle".
-func ParseEngine(s string) (Engine, error) { return sim.ParseEngine(s) }
 
 // MeasureBatch runs a grid of independent simulations on a bounded
 // worker pool and returns their measurements in submission order

@@ -329,54 +329,19 @@ func (s *SM) Pending() int {
 	return n
 }
 
-// Quiescent reports whether the SM is in the idle state that only a
-// DeliverResponse can change: all queues and pipes empty, no active
-// drain, and no issuable warp. The GPU uses it to batch-skip cycles
-// in fixed-latency mode.
-func (s *SM) Quiescent() bool { return s.idle }
-
-// SleepUntil reports the SM's next interesting cycle — the first
-// cycle at which a full Tick could do anything a SkipIdle would not:
-// math.MaxInt64 while idle (only a DeliverResponse wakes it), the
-// oldest in-flight L1 hit's completion cycle while hit-waiting, and a
-// value <= the current cycle (meaning "tick me every cycle")
-// otherwise. Ticks strictly before the returned cycle are exactly
-// SkipIdle ticks, which is what lets the event engine batch them.
-func (s *SM) SleepUntil() int64 {
-	if s.idle {
-		return math.MaxInt64
-	}
-	return s.sleepUntil
-}
-
-// SkipIdle accounts n frozen cycles in one call: the exact stat
-// deltas of n fast-path Ticks (cycle and no-warp-stall counts,
-// empty-queue occupancy samples, stall attribution) without executing
-// them. The caller must ensure the SM stays frozen (idle, or
-// hit-waiting short of SleepUntil) and receives no response in the
-// skipped span. With outstanding L1 misses the span is charged to the
-// backend's current memory-stall cause — an idle SM is by
-// construction waiting on fills, and queue fullness below is frozen
-// too, so the cause is constant across the span. With none (a pure
-// hit-wait), the wait is a dependency on in-flight L1 hits, charged
-// to the scoreboard exactly as a full tick's stallCause would.
-func (s *SM) SkipIdle(n int64) {
-	s.stats.Cycles += n
-	s.stats.StallNoWarp += n
-	cause := stats.StallScoreboard
-	if s.mshr.Used() > 0 {
-		cause = s.backend.MemStallCause()
-	}
-	s.stalls.AddN(cause, n)
-	s.ldstQ.SampleN(n)
-	s.missQ.SampleN(n)
-	s.respQ.SampleN(n)
-}
-
 // Tick advances the SM by one core cycle.
 func (s *SM) Tick(cycle int64) {
 	if s.idle || cycle < s.sleepUntil {
-		s.SkipIdle(1)
+		// Frozen (idle, or hit-waiting short of sleepUntil): apply
+		// exactly the stat deltas a full tick would. The SM's queues
+		// are empty, so stallCause charges a memory wait with L1
+		// misses outstanding and a scoreboard (hit) wait otherwise.
+		s.stats.Cycles++
+		s.stats.StallNoWarp++
+		s.stalls.Add(s.stallCause())
+		s.ldstQ.Sample()
+		s.missQ.Sample()
+		s.respQ.Sample()
 		return
 	}
 	s.sleepUntil = 0

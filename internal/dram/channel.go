@@ -153,33 +153,6 @@ func (c *Channel) Quiescent() bool {
 	return c.schedQ.Empty() && c.inflight.Empty() && c.stuck == nil
 }
 
-// NextEvent returns the channel's next interesting DRAM cycle: the
-// first cycle at which a Tick could do anything beyond sampling the
-// (empty) scheduler queue. With requests queued or a stuck return the
-// channel needs every cycle (0). Otherwise the next event is the
-// earlier of the oldest in-flight access's completion (inflight is
-// completeAt-ordered) and the refresh timer, which marches on even
-// with no traffic. Ticks strictly before the returned cycle are
-// exactly SkipTicks ticks.
-func (c *Channel) NextEvent() int64 {
-	if !c.schedQ.Empty() || c.stuck != nil {
-		return 0
-	}
-	ev := c.nextRefresh
-	if fin, ok := c.inflight.Peek(); ok && fin.completeAt < ev {
-		ev = fin.completeAt
-	}
-	return ev
-}
-
-// SkipTicks batch-applies n event-free ticks: the exact stat deltas
-// of n Ticks strictly before NextEvent (one scheduler-queue occupancy
-// sample each, nothing else — refresh cannot fire and no completion
-// is due in the span).
-func (c *Channel) SkipTicks(n int64) {
-	c.schedQ.SampleN(n)
-}
-
 // Tick advances the channel by one DRAM cycle.
 func (c *Channel) Tick(cycle int64) {
 	if c.Quiescent() {

@@ -14,7 +14,6 @@ package icnt
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/mem"
 	"repro/internal/queue"
@@ -123,32 +122,6 @@ func (c *Crossbar) Push(src int, pkt *mem.Packet) bool {
 	}
 	c.busy++
 	return true
-}
-
-// Quiescent reports whether the crossbar holds no packets — neither
-// buffered at an input nor mid-transfer at an output — so a tick
-// would only sample the (empty) input queues.
-func (c *Crossbar) Quiescent() bool { return c.busy == 0 }
-
-// NextEvent returns the crossbar's next interesting interconnect
-// cycle: 0 (every cycle matters) while any packet is buffered or
-// mid-transfer, math.MaxInt64 when empty — an empty crossbar stays
-// empty until someone Pushes, and a tick meanwhile only samples the
-// input queues. Ticks strictly before the returned cycle are exactly
-// SkipTicks ticks.
-func (c *Crossbar) NextEvent() int64 {
-	if c.busy > 0 {
-		return 0
-	}
-	return math.MaxInt64
-}
-
-// SkipTicks batch-applies n event-free ticks: the exact stat deltas
-// of n empty Ticks (one occupancy sample per input queue).
-func (c *Crossbar) SkipTicks(n int64) {
-	for _, in := range c.inputs {
-		in.SampleN(n)
-	}
 }
 
 // InputFree returns the free slots at input port src.

@@ -8,7 +8,6 @@ package l2
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cache"
 	"repro/internal/config"
@@ -211,39 +210,6 @@ func (p *Partition) Quiescent() bool {
 	return p.accessQ.Empty() && p.missQ.Empty() && p.respQ.Empty() &&
 		p.retQ.Empty() && p.pendingResp.Empty() &&
 		p.hitPipe.Empty() && p.fillPipe.Empty()
-}
-
-// NextEvent returns the partition's next interesting L2 cycle: the
-// first cycle at which a Tick could do anything beyond sampling its
-// (empty) queues. With any queue or the response staging buffer
-// non-empty the partition needs every cycle (0). Otherwise only the
-// pipelined hit/fill latches hold work, frozen until the earlier of
-// their head completion times (both pipes are doneAt-ordered);
-// math.MaxInt64 when fully quiescent. Ticks strictly before the
-// returned cycle are exactly SkipTicks ticks.
-func (p *Partition) NextEvent() int64 {
-	if !p.accessQ.Empty() || !p.missQ.Empty() || !p.respQ.Empty() ||
-		!p.retQ.Empty() || !p.pendingResp.Empty() {
-		return 0
-	}
-	ev := int64(math.MaxInt64)
-	if op, ok := p.hitPipe.Peek(); ok {
-		ev = op.doneAt
-	}
-	if op, ok := p.fillPipe.Peek(); ok && op.doneAt < ev {
-		ev = op.doneAt
-	}
-	return ev
-}
-
-// SkipTicks batch-applies n event-free ticks: the exact stat deltas
-// of n Ticks strictly before NextEvent (one occupancy sample per
-// queue, nothing else — no pipe head completes in the span).
-func (p *Partition) SkipTicks(n int64) {
-	p.accessQ.SampleN(n)
-	p.missQ.SampleN(n)
-	p.respQ.SampleN(n)
-	p.retQ.SampleN(n)
 }
 
 // bankFor maps a line address to a bank.

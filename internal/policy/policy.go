@@ -22,9 +22,9 @@
 //
 // Implementations must be deterministic pure functions of their inputs
 // plus their own private state: simulation results must stay
-// byte-identical at any parallelism and across the event and cycle
-// engines. The baseline names ("gto"/"lrr", "always", "plain")
-// reproduce the pre-seam behavior exactly.
+// byte-identical at any parallelism and across GPU instances. The
+// baseline names ("gto"/"lrr", "always", "plain") reproduce the
+// pre-seam behavior exactly.
 //
 // policy is a leaf package (no simulator imports), so internal/config
 // can validate names at decode time while internal/core, internal/cache
@@ -168,7 +168,7 @@ const bypassTableBits = 8
 // al. survey: the first miss on a line bypasses; a line that misses
 // again while its tag is still in the small recent-miss table has
 // demonstrated reuse and is allocated normally. State is per-SM and
-// deterministic, so results stay byte-identical across engines.
+// deterministic, so results stay byte-identical at any parallelism.
 type bypassLowReuse struct {
 	tags [1 << bypassTableBits]uint64
 }

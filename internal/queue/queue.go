@@ -129,11 +129,6 @@ func (q *Queue[T]) Remove(i int) T {
 // owning component calls it exactly once per cycle of its clock domain.
 func (q *Queue[T]) Sample() { q.usage.Sample(q.size) }
 
-// SampleN records the current occupancy for n consecutive cycles in
-// one call — the batch form of Sample used when the owning component
-// skips a quiescent span whose occupancy cannot change.
-func (q *Queue[T]) SampleN(n int64) { q.usage.SampleN(q.size, n) }
-
 // Usage returns the occupancy tracker for reporting.
 func (q *Queue[T]) Usage() *stats.QueueUsage { return q.usage }
 

@@ -37,12 +37,6 @@ type Job struct {
 	// the measurement window (the exp.RunParams methodology).
 	WarmupCycles int64
 	WindowCycles int64
-	// Engine selects the time-advancement strategy (the zero value is
-	// sim.EngineEvent, the next-event scheduler). Results are
-	// byte-identical under either engine — sim.EngineCycle exists as
-	// the slow reference oracle (gpusim -engine=cycle), and the sim
-	// equivalence property tests hold the two to reflect.DeepEqual.
-	Engine sim.Engine
 }
 
 // Options tunes a batch run.
@@ -84,7 +78,6 @@ func Execute(j Job) (sim.Results, error) {
 	if err != nil {
 		return sim.Results{}, err
 	}
-	g.SetEngine(j.Engine)
 	g.Run(j.WarmupCycles)
 	g.ResetStats()
 	g.Run(j.WindowCycles)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/config"
@@ -10,10 +9,10 @@ import (
 
 // burstySpec alternates a dense memory burst (queues saturate) with a
 // long compute-heavy quiet phase (queues drain, components quiesce) —
-// the worst case for idle-skip statistics: if a skipped quiescent span
-// were dropped from any queue's sampled-cycle denominator, this
-// workload's back-pressure fractions would inflate toward the
-// burst-only value.
+// the worst case for the quiescent fast paths' statistics: if a
+// fast-pathed tick were dropped from any queue's sampled-cycle
+// denominator, this workload's back-pressure fractions would inflate
+// toward the burst-only value.
 const burstySpec = `{
   "name":"bursty","warps":8,"dep_dist":1,"shared":true,
   "phases":[
@@ -30,54 +29,6 @@ func parseBursty(t *testing.T) workload.Spec {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// TestIdleFastForwardResultsIdentical: fixed-latency mode under the
-// event engine vs the per-cycle reference must produce exactly the
-// same Results — cycle counts, stall attribution, occupancy samples
-// and all. SkipIdle batch-charges skipped spans; if it ever diverged
-// from stepping the cycles one by one (e.g. dropping queue samples
-// from a denominator), this comparison would catch it.
-func TestIdleFastForwardResultsIdentical(t *testing.T) {
-	bursty := parseBursty(t)
-	wls := []workload.Workload{bursty}
-	for _, name := range []string{"sc", "leukocyte", "kmeans"} {
-		wl, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wls = append(wls, wl)
-	}
-	cfg := config.GTX480Baseline()
-	cfg.FixedLatency = config.FixedLatencyConfig{Enabled: true, Cycles: 300}
-	for _, wl := range wls {
-		run := func(fastForward bool) Results {
-			g, err := New(cfg, wl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !fastForward {
-				g.SetEngine(EngineCycle)
-			}
-			g.Run(2000)
-			g.ResetStats()
-			g.Run(5000)
-			return g.Results()
-		}
-		on, off := run(true), run(false)
-		if !reflect.DeepEqual(on, off) {
-			t.Errorf("%s: fast-forward changed the results:\non : %+v\noff: %+v", wl.Name(), on, off)
-		}
-		// The comparison is only meaningful if idle spans actually
-		// occur; the bursty spec guarantees them (its quiet phase plus
-		// the 300-cycle fixed latency freezes the SMs between
-		// responses). The cache-friendly built-ins barely idle, so the
-		// floor applies to the bursty workload alone.
-		if wl.Name() == "bursty" && on.StallNoWarp < on.Cycles {
-			t.Errorf("%s: window has too few idle cycles (%d of %d×SMs) to exercise skipping",
-				wl.Name(), on.StallNoWarp, on.Cycles)
-		}
-	}
 }
 
 // TestBackPressureDenominatorsCountIdleTicks: every level's

@@ -1,15 +1,13 @@
 package sim_test
 
-// The event engine's correctness argument is "a skipped span is a
-// span in which nothing could have happened", and the per-cycle loop
-// is the oracle that definition is checked against. This file is the
-// property test behind the -engine flag's byte-identity guarantee:
-// every built-in benchmark, every multi-phase scenario, and a pile of
-// randomized multi-phase specs run under both engines, on the real
-// hierarchy and in fixed-latency (Fig. 1) mode, at pool parallelism
-// 1 and 4 — and every run of a job must produce reflect.DeepEqual
-// Results (including the full StallBreakdown). It lives outside
-// package sim so it can drive the runner pool the CLIs use.
+// A measurement is a pure function of its job, so the worker pool must
+// not be able to change one: this file runs a broad grid — every
+// built-in benchmark on the real hierarchy and in fixed-latency
+// (Fig. 1) mode, every multi-phase scenario, and a pile of randomized
+// multi-phase specs — serially and on four workers, and holds every
+// job's Results to reflect.DeepEqual (including the full
+// StallBreakdown) and to stall closure. It lives outside package sim
+// so it can drive the runner pool the CLIs use.
 
 import (
 	"context"
@@ -24,10 +22,10 @@ import (
 	"repro/internal/workload"
 )
 
-// equivJobs builds the property-test grid: one real-hierarchy job per
+// gridJobs builds the property-test grid: one real-hierarchy job per
 // workload, plus a fixed-latency job per Fig. 1 suite benchmark so
-// the time-wheel fast path is exercised, not just the hierarchy path.
-func equivJobs(t *testing.T) []runner.Job {
+// the timing-wheel delivery path is exercised, not just the hierarchy.
+func gridJobs(t *testing.T) []runner.Job {
 	t.Helper()
 	cfg := config.GTX480Baseline()
 	fixed := cfg
@@ -108,23 +106,15 @@ func fuzzedSpecs(n int) []workload.Spec {
 	return specs
 }
 
-// TestEngineEquivalence is the -engine contract: event vs cycle,
-// serial vs four workers — four runs of the same grid, one answer.
-func TestEngineEquivalence(t *testing.T) {
+// TestGridDeterministicAcrossParallelism: serial vs four workers —
+// two runs of the same grid, one answer, and every answer closes its
+// stall stack (cycles × SMs issue slots, each charged once).
+func TestGridDeterministicAcrossParallelism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("equivalence grid is ~128 simulations")
+		t.Skip("determinism grid runs ~40 simulations twice")
 	}
-	base := equivJobs(t)
-
-	variant := func(eng sim.Engine) []runner.Job {
-		jobs := make([]runner.Job, len(base))
-		copy(jobs, base)
-		for i := range jobs {
-			jobs[i].Engine = eng
-		}
-		return jobs
-	}
-	run := func(jobs []runner.Job, par int) []sim.Results {
+	jobs := gridJobs(t)
+	run := func(par int) []sim.Results {
 		t.Helper()
 		res, err := runner.Run(context.Background(), jobs, runner.Options{Parallelism: par})
 		if err != nil {
@@ -133,29 +123,20 @@ func TestEngineEquivalence(t *testing.T) {
 		return res
 	}
 
-	want := run(variant(sim.EngineEvent), 1)
-	for _, alt := range []struct {
-		name string
-		eng  sim.Engine
-		par  int
-	}{
-		{"event -j4", sim.EngineEvent, 4},
-		{"cycle -j1", sim.EngineCycle, 1},
-		{"cycle -j4", sim.EngineCycle, 4},
-	} {
-		got := run(variant(alt.eng), alt.par)
-		for i := range base {
-			if !reflect.DeepEqual(want[i].Stalls, got[i].Stalls) {
-				t.Errorf("%s: job %d (%s): StallBreakdown diverged from event -j1:\nwant %+v\ngot  %+v",
-					alt.name, i, base[i].Workload.Name(), want[i].Stalls, got[i].Stalls)
-			}
-			if !reflect.DeepEqual(want[i], got[i]) {
-				t.Errorf("%s: job %d (%s): Results diverged from event -j1:\nwant %+v\ngot  %+v",
-					alt.name, i, base[i].Workload.Name(), want[i], got[i])
-			}
+	serial, parallel := run(1), run(4)
+	for i, j := range jobs {
+		name := j.Workload.Name()
+		if want := j.WindowCycles * int64(j.Config.Core.NumSMs); serial[i].Stalls.Total() != want {
+			t.Errorf("job %d (%s): stall stack totals %d, want %d (cycles × SMs)",
+				i, name, serial[i].Stalls.Total(), want)
 		}
-		if t.Failed() {
-			t.FailNow() // one variant's diff is enough noise
+		if !reflect.DeepEqual(serial[i].Stalls, parallel[i].Stalls) {
+			t.Errorf("job %d (%s): StallBreakdown differs between -j1 and -j4:\n-j1 %+v\n-j4 %+v",
+				i, name, serial[i].Stalls, parallel[i].Stalls)
+		}
+		if !reflect.DeepEqual(serial[i], parallel[i]) {
+			t.Errorf("job %d (%s): Results differ between -j1 and -j4:\n-j1 %+v\n-j4 %+v",
+				i, name, serial[i], parallel[i])
 		}
 	}
 }

@@ -5,8 +5,8 @@ package sim_test
 // must leave the simulator's core invariants standing. Whatever the
 // policies decide, (a) every SM cycle is still charged to exactly one
 // stall cause — per-SM breakdowns total the cycle count and the merged
-// breakdown totals cycles × SMs — and (b) the event engine's skipped
-// spans are still exact: event and cycle runs of the same job produce
+// breakdown totals cycles × SMs — and (b) policy state is per
+// instance: two independent GPUs running the same job produce
 // reflect.DeepEqual Results. The non-baseline policies must also do
 // something: each one has to measurably shift at least one scenario's
 // stall breakdown, so a refactor cannot quietly turn them into no-ops.
@@ -35,16 +35,15 @@ func policyCombos() []config.PolicyConfig {
 	return combos
 }
 
-// runWindow runs one workload on one engine and returns the GPU for
-// inspection, after a warm-up/ResetStats/measure sequence that mirrors
-// the harnesses.
-func runWindow(t *testing.T, cfg config.Config, wl workload.Workload, eng sim.Engine, warmup, window int64) *sim.GPU {
+// runWindow runs one workload and returns the GPU for inspection,
+// after a warm-up/ResetStats/measure sequence that mirrors the
+// harnesses.
+func runWindow(t *testing.T, cfg config.Config, wl workload.Workload, warmup, window int64) *sim.GPU {
 	t.Helper()
 	g, err := sim.New(cfg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetEngine(eng)
 	g.Run(warmup)
 	g.ResetStats()
 	g.Run(window)
@@ -71,10 +70,11 @@ func assertSMClosure(t *testing.T, g *sim.GPU, where string) {
 
 // TestPolicyCombosClosureAndEquivalence sweeps the full policy cross
 // product over every built-in benchmark and scenario: stall closure
-// holds on both engines, and the two engines agree byte for byte.
+// holds, and a second, independent instance of the same job agrees
+// with the first byte for byte (no policy state leaks between GPUs).
 func TestPolicyCombosClosureAndEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("policy grid is 12 combos x every workload x 2 engines")
+		t.Skip("policy grid is 12 combos x every workload x 2 instances")
 	}
 	cfg := config.GTX480Baseline()
 	cfg.Core.NumSMs = 6
@@ -92,14 +92,12 @@ func TestPolicyCombosClosureAndEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ev := runWindow(t, c, wl, sim.EngineEvent, 300, 1200)
-				assertSMClosure(t, ev, wlName+" event")
-				cy := runWindow(t, c, wl, sim.EngineCycle, 300, 1200)
-				assertSMClosure(t, cy, wlName+" cycle")
-				evRes, cyRes := ev.Results(), cy.Results()
-				if !reflect.DeepEqual(evRes, cyRes) {
-					t.Errorf("%s: event and cycle engines diverged:\nevent %+v\ncycle %+v",
-						wlName, evRes.Stalls, cyRes.Stalls)
+				first := runWindow(t, c, wl, 300, 1200)
+				assertSMClosure(t, first, wlName)
+				second := runWindow(t, c, wl, 300, 1200).Results()
+				if res := first.Results(); !reflect.DeepEqual(res, second) {
+					t.Errorf("%s: two instances of the same job diverged:\nfirst  %+v\nsecond %+v",
+						wlName, res.Stalls, second.Stalls)
 				}
 			}
 		})
@@ -118,7 +116,7 @@ func TestNonBaselinePoliciesShiftStalls(t *testing.T) {
 
 	base := make([]sim.Results, len(scenarios))
 	for i, sp := range scenarios {
-		base[i] = runWindow(t, cfg, sp, sim.EngineEvent, 2000, 10000).Results()
+		base[i] = runWindow(t, cfg, sp, 2000, 10000).Results()
 	}
 
 	cases := []struct {
@@ -135,7 +133,7 @@ func TestNonBaselinePoliciesShiftStalls(t *testing.T) {
 			c.Policy = tc.pc
 			shifted := false
 			for i, sp := range scenarios {
-				res := runWindow(t, c, sp, sim.EngineEvent, 2000, 10000).Results()
+				res := runWindow(t, c, sp, 2000, 10000).Results()
 				if !reflect.DeepEqual(res.Stalls, base[i].Stalls) {
 					shifted = true
 					break

@@ -6,40 +6,27 @@
 //
 // # Hot-path invariants
 //
-// The engine allocates nothing in steady state and never spends time
-// on provably frozen components:
+// The simulator allocates nothing in steady state and spends O(1) on
+// provably frozen components:
 //
 //   - All mem.Request and mem.Packet values are drawn from one
 //     per-GPU free-list pool (mem.Pool) and recycled at their
 //     retirement points; see the pool's ownership protocol.
-//   - Run's default engine (EngineEvent) is a next-event scheduler.
-//     Each component reports its next interesting cycle — the first
-//     cycle of its own clock domain at which a Tick could do anything
-//     beyond sampling its (empty) queues. Concretely: an SM reports
-//     math.MaxInt64 while idle (only a response delivery wakes it)
-//     and the oldest in-flight L1 hit's completion while hit-waiting
-//     (core.SM.SleepUntil); a DRAM channel with an empty scheduler
-//     queue reports the earlier of its oldest in-flight access's
-//     completion and its refresh timer (dram.Channel.NextEvent); an
-//     L2 partition with empty queues reports its earliest hit/fill
-//     pipeline completion (l2.Partition.NextEvent); a crossbar
-//     reports math.MaxInt64 once empty (icnt.Crossbar.NextEvent); the
-//     Fig. 1 fixed-latency backend reports the earliest scheduled
-//     delivery from a hierarchical timing wheel (sched.Wheel). While
-//     any queue holds work the component reports 0 — "tick me every
-//     cycle" — because queue interactions are not frozen. When every
-//     SM is asleep, Run converts each domain's next event into a
-//     core-cycle bound with exact rational clock arithmetic
-//     (sched.Domain.StepsUntil) and jumps to the minimum (idleSpan).
-//   - A skipped span accounts the exact statistics stepping it would
-//     have produced: core.SM.SkipIdle batch-charges cycle counts,
-//     no-warp stalls, stall attribution and empty-queue samples;
-//     each downstream component's SkipTicks batch-samples its queues,
-//     with per-domain tick counts from the same phase accumulators
-//     the per-cycle loop uses. Reports are therefore byte-identical
-//     under EngineEvent and EngineCycle — the per-cycle reference
-//     loop, kept compiled and tested as the oracle (SetEngine); the
-//     equivalence property tests and the golden files pin this.
+//   - Run is the one time-advancement path: a plain loop of Step,
+//     which ticks every component on every cycle of its clock domain
+//     (sched.Domain turns each core cycle into the exact number of
+//     DRAM, L2 and interconnect ticks).
+//   - Each component's Tick has a quiescent early-out that applies
+//     exactly the statistics a full tick would have produced and
+//     skips the work: an SM that is idle (only a response delivery
+//     wakes it) or hit-waiting short of its oldest in-flight L1 hit
+//     charges the cycle, a no-warp stall, its stall cause and
+//     empty-queue samples; a DRAM channel with nothing queued, in
+//     flight or stuck runs only its refresh timer and samples its
+//     scheduler queue; an L2 partition with empty queues and pipes
+//     samples its queues; an empty crossbar samples its inputs. In
+//     Fig. 1 mode the fixed-latency backend visits only SMs with a
+//     due delivery, found on a hierarchical timing wheel (sched.Wheel).
 //
 // Determinism is unaffected: a GPU instance owns all of its state, so
 // reports are bit-identical at any experiment-engine parallelism, and
@@ -82,9 +69,9 @@
 //     fixed-latency mode, which has no hierarchy to congest).
 //
 // The refinement is computed lazily, at most once per core cycle
-// (memStallCause), and the quiescence fast paths batch-charge skipped
-// spans (core.SM.SkipIdle), so attribution respects both the
-// allocation budget and the idle-skipping invariants above. The sum of
+// (memStallCause), and the SM's quiescent early-out charges its cycle
+// to the same cause a full tick would, so attribution respects both
+// the allocation budget and the fast paths above. The sum of
 // a breakdown's categories is exactly the SM's cycle count; merged
 // GPU-wide it is cycles × SMs, an invariant the sim tests enforce for
 // every built-in workload.
@@ -92,7 +79,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -105,45 +91,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
-
-// Engine selects how GPU.Run advances the system through time.
-type Engine int
-
-const (
-	// EngineEvent (the default) is the next-event scheduler: Run
-	// batch-skips spans in which every component is provably frozen,
-	// jumping straight to the minimum next interesting cycle across
-	// SMs, crossbars, L2 partitions, DRAM channels and (in Fig. 1
-	// mode) the fixed-latency delivery wheel, charging the skipped
-	// cycles through the exact batch statistics paths.
-	EngineEvent Engine = iota
-	// EngineCycle is the per-cycle reference loop: every component
-	// ticks on every cycle of its clock domain. It is kept compiled
-	// and tested as the oracle the event engine is checked against —
-	// Results, stall breakdowns and golden reports must be
-	// byte-identical under either engine — and as a debugging escape
-	// hatch (gpusim -engine=cycle).
-	EngineCycle
-)
-
-// String returns the -engine flag spelling of e.
-func (e Engine) String() string {
-	if e == EngineCycle {
-		return "cycle"
-	}
-	return "event"
-}
-
-// ParseEngine parses the -engine flag spellings "event" and "cycle".
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "event":
-		return EngineEvent, nil
-	case "cycle":
-		return EngineCycle, nil
-	}
-	return 0, fmt.Errorf("sim: unknown engine %q (want \"event\" or \"cycle\")", s)
-}
 
 // GPU is one simulated system instance.
 type GPU struct {
@@ -161,8 +108,7 @@ type GPU struct {
 
 	coreCycle int64
 	// Derived clock domains, advanced in exact rational proportion to
-	// the core clock (sched.Domain reproduces the historical per-cycle
-	// phase-accumulator loop for any step batching).
+	// the core clock by a phase accumulator (sched.Domain).
 	icntDom, l2Dom, dramDom sched.Domain
 
 	// stallCause memoizes the hierarchical memory-stall refinement for
@@ -172,10 +118,6 @@ type GPU struct {
 	// SMs for determinism.
 	stallCause   stats.StallCause
 	stallCauseAt int64
-
-	// engine selects Run's time-advancement strategy; statistics must
-	// not change either way (SetEngine).
-	engine Engine
 }
 
 // New builds a GPU running wl under cfg. The config is validated and
@@ -317,8 +259,6 @@ type fixedBackend struct {
 	// pending is a per-SM FIFO of scheduled deliveries (constant
 	// latency keeps each FIFO sorted by ReadyAt).
 	pending []queue.Ring[*mem.Packet]
-	// inflight counts undelivered responses across all FIFOs.
-	inflight int
 	// wheel holds exactly one "attention due" hint per non-empty FIFO
 	// — at the head packet's ReadyAt, or at the next cycle after a
 	// refused delivery — so tick visits only SMs with due heads
@@ -359,7 +299,6 @@ func (b *fixedBackend) SendMiss(req *mem.Request) bool {
 		b.wheel.Schedule(pkt.ReadyAt, int32(req.CoreID))
 	}
 	q.Push(pkt)
-	b.inflight++
 	return true
 }
 
@@ -388,16 +327,8 @@ func (b *fixedBackend) tick(cycle int64) {
 				break
 			}
 			q.Pop()
-			b.inflight--
 		}
 	}
-}
-
-// nextReady returns the earliest cycle at which tick could deliver
-// (or retry) anything, or ok=false when nothing is scheduled. O(1):
-// the wheel caches its minimum.
-func (b *fixedBackend) nextReady() (int64, bool) {
-	return b.wheel.Earliest()
 }
 
 // Step advances the system by one core clock cycle, ticking the other
@@ -435,126 +366,13 @@ func (g *GPU) Step() {
 	g.coreCycle++
 }
 
-// Run advances the system by n core cycles. Under EngineEvent it
-// batch-skips every span in which the whole system is provably frozen
-// (idleSpan), charging skipped cycles through the exact batch
-// statistics paths (skipSpan); under EngineCycle it steps each cycle.
-// The engines are statistically indistinguishable by construction —
-// only wall-clock time differs.
+// Run advances the system by n core cycles, one Step at a time.
 func (g *GPU) Run(n int64) {
 	end := g.coreCycle + n
-	if g.engine == EngineCycle {
-		for g.coreCycle < end {
-			g.Step()
-		}
-		return
-	}
 	for g.coreCycle < end {
-		if k := g.idleSpan(end); k > 0 {
-			g.skipSpan(k)
-		} else {
-			g.Step()
-		}
+		g.Step()
 	}
 }
-
-// idleSpan returns how many core cycles, starting at the current one,
-// the whole system is provably frozen for: every SM asleep (idle or
-// hit-waiting) and no downstream component's next interesting cycle
-// inside the span. The result is capped so the span ends at end; zero
-// means the next cycle must be stepped. During such a span no
-// component's observable state changes except via the batch paths —
-// in particular no response can be delivered (delivery requires a
-// busy crossbar, a due L2/DRAM completion or a due fixed-latency
-// delivery, all of which bound the span) — so queue fullness, and
-// with it the memory-stall refinement, is constant across it.
-func (g *GPU) idleSpan(end int64) int64 {
-	wake := end
-	for _, sm := range g.sms {
-		su := sm.SleepUntil()
-		if su <= g.coreCycle {
-			return 0 // active SM: step
-		}
-		if su < wake {
-			wake = su
-		}
-	}
-	if g.fixed != nil {
-		if next, ok := g.fixed.nextReady(); ok {
-			if next <= g.coreCycle {
-				return 0
-			}
-			if next < wake {
-				wake = next
-			}
-		}
-	} else {
-		ev := int64(math.MaxInt64)
-		for _, p := range g.parts {
-			if e := p.Channel().NextEvent(); e < ev {
-				ev = e
-			}
-		}
-		if w := g.coreCycle + g.dramDom.StepsUntil(ev); w < wake {
-			wake = w
-		}
-		ev = math.MaxInt64
-		for _, p := range g.parts {
-			if e := p.NextEvent(); e < ev {
-				ev = e
-			}
-		}
-		if w := g.coreCycle + g.l2Dom.StepsUntil(ev); w < wake {
-			wake = w
-		}
-		ev = g.respX.NextEvent()
-		if e := g.reqX.NextEvent(); e < ev {
-			ev = e
-		}
-		if w := g.coreCycle + g.icntDom.StepsUntil(ev); w < wake {
-			wake = w
-		}
-	}
-	return wake - g.coreCycle
-}
-
-// skipSpan advances the system k core cycles in one batch. Every SM
-// charges the span through SkipIdle (the memory-stall refinement is
-// memoized once — queue fullness is frozen, so it equals what each
-// stepped cycle would have computed); each derived domain advances
-// its phase accumulator exactly as k per-cycle steps would and
-// batch-samples its components' queues for the ticks that elapse.
-func (g *GPU) skipSpan(k int64) {
-	for _, sm := range g.sms {
-		sm.SkipIdle(k)
-	}
-	if g.fixed == nil {
-		if n := g.dramDom.Advance(k); n > 0 {
-			for _, p := range g.parts {
-				p.Channel().SkipTicks(n)
-			}
-		}
-		if n := g.l2Dom.Advance(k); n > 0 {
-			for _, p := range g.parts {
-				p.SkipTicks(n)
-			}
-		}
-		if n := g.icntDom.Advance(k); n > 0 {
-			g.respX.SkipTicks(n)
-			g.reqX.SkipTicks(n)
-		}
-	}
-	g.coreCycle += k
-}
-
-// SetEngine selects Run's engine (EngineEvent by default). The choice
-// is observably irrelevant — Results, stall breakdowns,
-// queue-occupancy samples and the back-pressure denominators they
-// feed are byte-identical under either engine, an equivalence the
-// property tests assert over every built-in workload, scenario and
-// fuzzed spec — so EngineCycle exists purely as the slow, obviously
-// correct reference.
-func (g *GPU) SetEngine(e Engine) { g.engine = e }
 
 // Cycle returns the current core cycle.
 func (g *GPU) Cycle() int64 { return g.coreCycle }

@@ -40,8 +40,8 @@ func TestStallAttributionSumsToIssueSlots(t *testing.T) {
 }
 
 // TestStallAttributionFixedLatency checks the invariant in Fig. 1
-// mode, where the fast-forward path batch-charges whole idle spans:
-// skipped cycles must be attributed exactly like stepped ones.
+// mode, where SMs spend long spans on their idle early-out: those
+// cycles must be attributed exactly like fully ticked ones.
 func TestStallAttributionFixedLatency(t *testing.T) {
 	cfg := config.GTX480Baseline()
 	cfg.Core.NumSMs = 4

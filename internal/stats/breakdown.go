@@ -81,9 +81,8 @@ type StallBreakdown struct {
 // Add charges one cycle to cause.
 func (b *StallBreakdown) Add(c StallCause) { b.cycles[c]++ }
 
-// AddN charges n consecutive cycles to cause in one call — the batch
-// form Add takes on the quiescence fast paths (core.SM.SkipIdle), the
-// same way QueueUsage.SampleN batches Sample.
+// AddN charges n consecutive cycles to cause in one call, exactly as
+// n calls of Add would; tests use it to build breakdown fixtures.
 func (b *StallBreakdown) AddN(c StallCause, n int64) {
 	if n > 0 {
 		b.cycles[c] += n

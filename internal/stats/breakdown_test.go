@@ -2,9 +2,8 @@ package stats
 
 import "testing"
 
-// TestStallBreakdownAddNMatchesAdd: the batch form used by the
-// quiescence fast paths must account exactly like n individual
-// charges — the same equivalence QueueUsage.SampleN guarantees.
+// TestStallBreakdownAddNMatchesAdd: the batch form must account
+// exactly like n individual charges, and ignore non-positive spans.
 func TestStallBreakdownAddNMatchesAdd(t *testing.T) {
 	var one, batch StallBreakdown
 	for i := 0; i < 7; i++ {

@@ -196,24 +196,6 @@ func (q *QueueUsage) Sample(length int) {
 	}
 }
 
-// SampleN records the same queue length for n consecutive cycles in
-// one call. It is the batch form of Sample that lets quiescent
-// components account for a skipped span of cycles in O(1) while
-// keeping every derived metric identical to n individual samples.
-func (q *QueueUsage) SampleN(length int, n int64) {
-	if n <= 0 {
-		return
-	}
-	q.sampled += n
-	q.occSum += int64(length) * n
-	if length > 0 {
-		q.nonEmpty += n
-	}
-	if length >= q.capacity {
-		q.full += n
-	}
-}
-
 // Capacity returns the tracked queue's capacity.
 func (q *QueueUsage) Capacity() int { return q.capacity }
 

@@ -23,7 +23,7 @@
 //
 //	GET  /healthz            liveness + API/code version + fleet size
 //	GET  /v1/workers         per-worker routing state
-//	POST /v1/sweep/{kind}    bottleneck | scenarios | advise | run
+//	POST /v1/sweep/{kind}    any registered sweep kind (sweep -h lists them)
 //
 // POST bodies are the same JobRequest documents gpusimd accepts;
 // "Accept: text/event-stream" streams per-job progress (see

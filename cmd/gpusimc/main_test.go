@@ -290,7 +290,7 @@ func TestGpusimcWorkerKilledMidSweep(t *testing.T) {
 // real processes: a 3-worker fleet runs /v1/sweep/advise — perturbed
 // per-job configs and all — while one worker is SIGKILLed mid-sweep.
 // The merged body must stay byte-identical to a single worker's, and
-// the report payload must equal cmd/advise -json for the same request,
+// the report payload must equal sweep advise -json for the same request,
 // tying the fleet bytes to the single-node CLI.
 func TestGpusimcAdviseKilledWorker(t *testing.T) {
 	cmds, urls, coordURL := fleet(t, 3, "-backoff", "10ms")
@@ -354,7 +354,7 @@ func TestGpusimcAdviseKilledWorker(t *testing.T) {
 		t.Errorf("merged advise after worker kill differs from single node:\n got: %s\nwant: %s", done, want)
 	}
 
-	// The report inside the envelope is exactly cmd/advise -json for
+	// The report inside the envelope is exactly sweep advise -json for
 	// the same workloads and methodology (seed 1 is both the CLI
 	// default and the workers' baseline).
 	var env struct {
@@ -363,11 +363,11 @@ func TestGpusimcAdviseKilledWorker(t *testing.T) {
 	if err := json.Unmarshal([]byte(done), &env); err != nil {
 		t.Fatal(err)
 	}
-	adviseBin := clitest.Build(t, "repro/cmd/advise")
-	cliOut, _ := clitest.Run(t, adviseBin,
+	sweepBin := clitest.Build(t, "repro/cmd/sweep")
+	cliOut, _ := clitest.Run(t, sweepBin, "advise",
 		"-workloads", "sc,kmeans", "-warmup", "200", "-window", "500", "-seed", "1", "-json")
 	if strings.TrimSuffix(cliOut, "\n") != string(env.Report) {
-		t.Errorf("fleet advise report differs from cmd/advise -json:\n got: %s\nwant: %s", env.Report, cliOut)
+		t.Errorf("fleet advise report differs from sweep advise -json:\n got: %s\nwant: %s", env.Report, cliOut)
 	}
 }
 

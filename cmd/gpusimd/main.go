@@ -18,8 +18,8 @@
 //	GET  /v1/stats              cache and queue counters
 //	GET  /v1/cache/{key}        peer-fetch: cached bytes by content address
 //	POST /v1/run                one measurement
-//	POST /v1/sweep/{kind}       any registered sweep kind
-//	                            (bottleneck, scenarios, advise, run)
+//	POST /v1/sweep/{kind}       any registered sweep kind (sweep -h
+//	                            lists them)
 //	POST /v1/advise             alias for /v1/sweep/advise
 //
 // -peers names the other members of a worker fleet (see cmd/gpusimc):

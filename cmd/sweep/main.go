@@ -1,0 +1,134 @@
+// Command sweep runs one registered sweep kind locally and prints its
+// report: the per-workload stall stack, the multi-phase scenarios
+// against their fixed-mix controls, the what-if advisor, the
+// mitigation-policy grid, or a plain measurement batch.
+//
+// Usage:
+//
+//	sweep <kind> [-workloads a,b] [-j N] [-scale S] [-seed N]
+//	             [-warmup N] [-window N] [-csv | -json]
+//
+// The kinds, their descriptions and their default workload scopes come
+// from the internal/api registry the daemons serve; sweep -h lists
+// them. The flags build the same request document a POST
+// /v1/sweep/{kind} body is, resolved by the same code, so -json prints
+// exactly the report payload gpusimd returns for that request. Every
+// report is byte-identical at any -j. The run kind's report is a list
+// of measurement envelopes with no table form: it needs -json.
+package main
+
+import (
+	"context"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"runtime"
+	"strings"
+
+	"repro/internal/api"
+	"repro/internal/config"
+	"repro/internal/exp"
+)
+
+func main() {
+	def := exp.DefaultRunParams()
+	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
+	var (
+		names  = fs.String("workloads", "", "comma-separated workloads (default: the kind's standard set)")
+		jobs   = fs.Int("j", 0, "parallel simulations (0 = all cores)")
+		scale  = fs.String("scale", "", "Table I scaling set: baseline|l1|l2|dram|l1l2|l2dram|all")
+		seed   = fs.Uint64("seed", 1, "simulation seed")
+		warmup = fs.Int64("warmup", def.WarmupCycles, "warm-up cycles before measurement")
+		window = fs.Int64("window", def.WindowCycles, "measurement window in core cycles")
+		csv    = fs.Bool("csv", false, "emit CSV instead of the table")
+		asJSON = fs.Bool("json", false, "emit the report as compact JSON (the /v1/sweep/<kind> report payload)")
+	)
+	fs.Usage = func() { usage(fs) }
+
+	// The kind may come before or after the flags.
+	fs.Parse(os.Args[1:])
+	if fs.NArg() == 0 {
+		fs.Usage()
+		os.Exit(2)
+	}
+	kind := fs.Arg(0)
+	fs.Parse(fs.Args()[1:])
+	if fs.NArg() > 0 {
+		fatal(fmt.Errorf("unexpected arguments %q", fs.Args()))
+	}
+	if *csv && *asJSON {
+		fatal(fmt.Errorf("-csv and -json are mutually exclusive"))
+	}
+
+	k, err := api.KindByName(kind)
+	if err != nil {
+		fatal(err)
+	}
+	req := api.JobRequest{
+		Seed: seed, Scale: *scale,
+		Warmup: warmup, Window: window,
+		Parallelism: *jobs,
+	}
+	if *names != "" {
+		for _, n := range strings.Split(*names, ",") {
+			req.Workloads = append(req.Workloads, strings.TrimSpace(n))
+		}
+	}
+	_, specs, err := k.Scope(req)
+	if err != nil {
+		fatal(err)
+	}
+	// A local run honours any -j and has no window cap.
+	cfg, p, err := api.ResolveMethodology(config.GTX480Baseline(), req, max(*jobs, runtime.GOMAXPROCS(0)), math.MaxInt64)
+	if err != nil {
+		fatal(err)
+	}
+	rep, err := api.Run(context.Background(), k, cfg, specs, p)
+	if err != nil {
+		fatal(err)
+	}
+
+	if *asJSON {
+		data, err := json.Marshal(rep)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Println(string(data))
+		return
+	}
+	table, ok := rep.(interface {
+		String() string
+		CSV() string
+	})
+	if !ok {
+		fatal(fmt.Errorf("the %s kind has no table or CSV form; use -json", k.Name))
+	}
+	if *csv {
+		fmt.Print(table.CSV())
+	} else {
+		fmt.Print(table.String())
+	}
+}
+
+// usage lists the registered kinds with their descriptions and default
+// scopes, then the flags.
+func usage(fs *flag.FlagSet) {
+	w := fs.Output()
+	fmt.Fprintf(w, "usage: sweep <kind> [flags]\n\nkinds:\n")
+	for _, k := range api.Kinds() {
+		scope := "none, -workloads is required"
+		if k.Defaults != nil {
+			scope = strings.Join(k.Defaults(), ",")
+		}
+		fmt.Fprintf(w, "  %-11s %s\n  %-11s default workloads: %s\n", k.Name, k.Description, "", scope)
+	}
+	fmt.Fprintf(w, "\nflags:\n")
+	fs.PrintDefaults()
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "sweep:", err)
+	os.Exit(1)
+}

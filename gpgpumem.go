@@ -16,6 +16,11 @@
 //   - RunQueueOccupancy — §III, queue full-of-usage occupancy;
 //   - RunDesignSpace — Table I / §IV, the ~4× design-space scaling.
 //
+// RunSweep runs the characterization sweeps built on them — stall
+// attribution, scenario-vs-control, the what-if advisor and the
+// mitigation policies — by registered kind name (SweepKindNames), the
+// same registry cmd/sweep and the daemons serve.
+//
 // Each harness expresses its sweep as a batch of independent
 // simulations on a deterministic worker pool (RunParams.Parallelism;
 // MeasureBatch exposes the engine directly): reports are bit-identical
@@ -319,7 +324,8 @@ type StallBreakdown = stats.StallBreakdown
 type BackPressure = sim.BackPressure
 
 // BottleneckReport is the per-workload stall-stack characterization
-// (cmd/bottleneck's output): where the cycles go, per workload.
+// (the bottleneck sweep kind's report): where the cycles go, per
+// workload.
 type BottleneckReport = exp.BottleneckReport
 
 // BottleneckRow is one workload's stall stack in a BottleneckReport.
@@ -328,14 +334,6 @@ type BottleneckRow = exp.BottleneckRow
 // DefaultBottleneckWorkloads returns the breakdown sweep's default
 // scope: the paper suite followed by the multi-phase scenarios.
 func DefaultBottleneckWorkloads() []Workload { return exp.DefaultBottleneckWorkloads() }
-
-// RunBottleneckBreakdown measures every workload on the base
-// architecture (one batch on the worker pool) and attributes each
-// one's issue slots to stall causes — the paper's "which level is the
-// bottleneck" characterization as a per-workload stall stack.
-func RunBottleneckBreakdown(base Config, wls []Workload, p RunParams) (BottleneckReport, error) {
-	return exp.RunBottleneckBreakdown(base, wls, p)
-}
 
 // RenderBatchStallReport renders the per-workload stall-stack sections
 // cmd/gpusim appends under its -stalls flag.
@@ -364,37 +362,9 @@ type AdviseRow = exp.AdviseRow
 // AdviseOutcome is one measured intervention within an AdviseRow.
 type AdviseOutcome = exp.AdviseOutcome
 
-// DefaultAdviseWorkloads returns the advisor's default scope — the
-// suite-plus-scenarios set the bottleneck breakdown sweeps — as specs.
-func DefaultAdviseWorkloads() []WorkloadSpec { return exp.DefaultAdviseWorkloads() }
-
 // WorkloadSpecByName returns a built-in benchmark or scenario as its
-// underlying spec (the form the advisor and the sweep endpoints take).
+// underlying spec (the form RunSweep and the sweep endpoints take).
 func WorkloadSpecByName(name string) (WorkloadSpec, error) { return workload.SpecByName(name) }
-
-// RunAdvise runs the what-if bottleneck advisor: for each workload it
-// measures the baseline plus every Perturbations() candidate (one
-// batch on the worker pool) and ranks the interventions by IPC
-// recovered per unit of cost, marking the ones that target the
-// workload's dominant stall cause. The engine behind cmd/advise and
-// the "advise" sweep kind; the report is bit-identical at any
-// parallelism.
-func RunAdvise(base Config, specs []WorkloadSpec, p RunParams) (AdviseReport, error) {
-	return exp.RunAdvise(base, specs, p)
-}
-
-// PolicyPerturbations returns the internal/policy mitigation policies
-// as advisor interventions — zero-silicon-cost knobs ranked alongside
-// the hardware ones. Append them to Perturbations() and call
-// RunAdviseWith (cmd/advise -policies does exactly that); the
-// registered "advise" sweep kind is unchanged.
-func PolicyPerturbations() []Perturbation { return exp.PolicyPerturbations() }
-
-// RunAdviseWith is RunAdvise over an explicit perturbation set, for
-// callers extending the advisor's candidate list.
-func RunAdviseWith(base Config, specs []WorkloadSpec, perts []Perturbation, p RunParams) (AdviseReport, error) {
-	return exp.RunAdviseWith(base, specs, perts, p)
-}
 
 // Mitigation is one opt-in policy intervention of the mitigation
 // sweep: a named, zero-silicon-cost config transform enabling one or
@@ -418,20 +388,6 @@ type MitigationRow = exp.MitigationRow
 // MitigationOutcome is one measured policy within a MitigationRow.
 type MitigationOutcome = exp.MitigationOutcome
 
-// DefaultMitigationWorkloads returns the mitigation sweep's default
-// scope — the multi-phase scenarios — as specs.
-func DefaultMitigationWorkloads() []WorkloadSpec { return exp.DefaultMitigationWorkloads() }
-
-// RunMitigationSweep measures the mitigation grid — baseline plus
-// every Mitigations() policy per workload, one batch on the worker
-// pool — and reports IPC recovered and where each policy moved cycles
-// in the stall breakdown. The engine behind cmd/mitigate and the
-// "mitigation" sweep kind; the report is bit-identical at any
-// parallelism.
-func RunMitigationSweep(base Config, specs []WorkloadSpec, p RunParams) (MitigationReport, error) {
-	return exp.RunMitigationSweep(base, specs, p)
-}
-
 // IssuePolicyNames lists the registered warp-issue policies — the
 // valid Config.Policy.Issue values.
 func IssuePolicyNames() []string { return policy.IssueNames() }
@@ -445,9 +401,30 @@ func FillPolicyNames() []string { return policy.FillNames() }
 func L2PolicyNames() []string { return policy.L2Names() }
 
 // SweepKindNames lists the registered sweep kinds — the valid {kind}
-// segments of the daemons' POST /v1/sweep/{kind} endpoints and of
-// gpusimc -sweep — in registry order.
+// segments of the daemons' POST /v1/sweep/{kind} endpoints, of
+// cmd/sweep and of gpusimc -sweep — in registry order.
 func SweepKindNames() []string { return api.KindNames() }
+
+// RunSweep runs a registered sweep kind (SweepKindNames) locally on
+// the worker pool — the same executor behind cmd/sweep and the
+// daemons' /v1/sweep/{kind} — and returns its typed report:
+// BottleneckReport, ScenarioReport, AdviseReport, MitigationReport,
+// or the run kind's ordered per-workload envelopes. Nil specs means
+// the kind's default workload scope. json.Marshal of the report is
+// byte-identical to the daemons' report payload for the same request,
+// and the report is bit-identical at any parallelism.
+func RunSweep(kind string, base Config, specs []WorkloadSpec, p RunParams) (any, error) {
+	k, err := api.KindByName(kind)
+	if err != nil {
+		return nil, err
+	}
+	if len(specs) == 0 {
+		if _, specs, err = k.Scope(api.JobRequest{}); err != nil {
+			return nil, err
+		}
+	}
+	return api.Run(context.Background(), k, base, specs, p)
+}
 
 // ScenarioReport compares multi-phase scenarios against their
 // duration-weighted fixed-mix controls (WorkloadSpec.Flatten).
@@ -456,14 +433,6 @@ type ScenarioReport = exp.ScenarioReport
 // ScenarioRow is one scenario-vs-control comparison of a
 // ScenarioReport.
 type ScenarioRow = exp.ScenarioRow
-
-// RunScenarioSweep measures every multi-phase scenario and its
-// flattened fixed-mix control on the base architecture (one batch on
-// the worker pool) and reports IPC and queue congestion side by side —
-// what the phase structure alone costs or buys.
-func RunScenarioSweep(base Config, scenarios []WorkloadSpec, p RunParams) (ScenarioReport, error) {
-	return exp.RunScenarioSweep(base, scenarios, p)
-}
 
 // EncodeResults renders a Results snapshot as stable, compact JSON:
 // the same measurement always encodes to the same bytes, which is

@@ -2,8 +2,9 @@
 // the experiment service: the request and response document shapes,
 // the one JSON error envelope, and the sweep-kind registry that gives
 // the single-node server (internal/serve), the fleet coordinator
-// (internal/fabric) and the one-shot CLIs a single definition of each
-// sweep.
+// (internal/fabric) and the sweep CLI (cmd/sweep) a single definition
+// of each sweep, plus the one local executor (Run) that the server,
+// the CLI and the library facade share.
 //
 // The package exists so that a sweep kind is declared exactly once.
 // Before it, adding a sweep meant a new handler in serve, a new case
@@ -116,8 +117,10 @@ func ResolveMethodology(base config.Config, req JobRequest, maxParallel int, max
 	if p.WarmupCycles < 0 || p.WindowCycles <= 0 {
 		return config.Config{}, exp.RunParams{}, fmt.Errorf("warmup must be >= 0 and window > 0")
 	}
-	if total := p.WarmupCycles + p.WindowCycles; total > maxWindow {
-		return config.Config{}, exp.RunParams{}, fmt.Errorf("warmup+window %d exceeds the server cap %d", total, maxWindow)
+	// Compared without forming the sum: warmup+window can overflow
+	// int64 and wrap below the cap, admitting a job that never ends.
+	if p.WindowCycles > maxWindow || p.WarmupCycles > maxWindow-p.WindowCycles {
+		return config.Config{}, exp.RunParams{}, fmt.Errorf("warmup %d + window %d exceeds the server cap %d", p.WarmupCycles, p.WindowCycles, maxWindow)
 	}
 	p.Parallelism = req.Parallelism
 	if p.Parallelism <= 0 || p.Parallelism > maxParallel {

@@ -3,6 +3,7 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -101,6 +102,42 @@ func TestKindGrids(t *testing.T) {
 	}
 }
 
+// TestKindScope: the one sweep-scope resolver rejects the /v1/run
+// request form, falls back to the kind's defaults, requires explicit
+// names for a kind without defaults, and resolves names to specs in
+// request order.
+func TestKindScope(t *testing.T) {
+	for _, k := range Kinds() {
+		if _, _, err := k.Scope(JobRequest{Workload: "sc"}); err == nil || !strings.Contains(err.Error(), "workloads list") {
+			t.Errorf("%s: workload form: %v", k.Name, err)
+		}
+		if _, _, err := k.Scope(JobRequest{Spec: json.RawMessage(`{}`)}); err == nil || !strings.Contains(err.Error(), "workloads list") {
+			t.Errorf("%s: spec form: %v", k.Name, err)
+		}
+		if _, _, err := k.Scope(JobRequest{Workloads: []string{"sc", "nosuch"}}); err == nil || !strings.Contains(err.Error(), "nosuch") {
+			t.Errorf("%s: unknown name: %v", k.Name, err)
+		}
+		names, specs, err := k.Scope(JobRequest{})
+		if k.Defaults == nil {
+			if err == nil || !strings.Contains(err.Error(), "explicit workloads list") {
+				t.Errorf("%s: empty scope without defaults: %v", k.Name, err)
+			}
+			continue
+		}
+		if err != nil || len(names) == 0 || len(specs) != len(names) || specs[0].SpecName != names[0] {
+			t.Errorf("%s: default scope %v (%d specs), %v", k.Name, names, len(specs), err)
+		}
+	}
+	k, err := KindByName("run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, specs, err := k.Scope(JobRequest{Workloads: []string{"nn", "sc"}})
+	if err != nil || len(specs) != 2 || specs[0].SpecName != "nn" || specs[1].SpecName != "sc" || names[1] != "sc" {
+		t.Errorf("explicit scope: %v %v %v", names, specs, err)
+	}
+}
+
 // TestResolveMethodologyInlineConfig: an inline request config
 // replaces the base entirely, is strictly decoded, and the
 // scale/seed transforms apply on top of it.
@@ -137,6 +174,39 @@ func TestResolveMethodologyInlineConfig(t *testing.T) {
 		}
 		if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", name, err, tc.want)
+		}
+	}
+}
+
+// TestResolveMethodologyWindowCap: the warmup+window cap holds at its
+// edges and for values whose sum overflows int64 — a wrapped sum must
+// not admit a job that never ends.
+func TestResolveMethodologyWindowCap(t *testing.T) {
+	base := config.GTX480Baseline()
+	cases := []struct {
+		warmup, window, cap int64
+		ok                  bool
+	}{
+		{999, 1, 1000, true},
+		{1000, 1, 1000, false},
+		{0, 1001, 1000, false},
+		{math.MaxInt64, 1, 10_000_000, false},
+		{1, math.MaxInt64, 10_000_000, false},
+		{math.MaxInt64, math.MaxInt64, 10_000_000, false},
+		{math.MaxInt64 - 1, 1, math.MaxInt64, true},
+		{math.MaxInt64, 1, math.MaxInt64, false},
+	}
+	for _, tc := range cases {
+		_, p, err := ResolveMethodology(base, JobRequest{Warmup: &tc.warmup, Window: &tc.window}, 1, tc.cap)
+		if tc.ok && err != nil {
+			t.Errorf("warmup %d + window %d under cap %d rejected: %v", tc.warmup, tc.window, tc.cap, err)
+		}
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("warmup %d + window %d over cap %d accepted as %+v", tc.warmup, tc.window, tc.cap, p)
+			} else if !strings.Contains(err.Error(), "exceeds the server cap") {
+				t.Errorf("warmup %d + window %d: unexpected error %v", tc.warmup, tc.window, err)
+			}
 		}
 	}
 }

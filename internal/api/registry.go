@@ -1,12 +1,14 @@
 package api
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/config"
 	"repro/internal/exp"
+	"repro/internal/resultcache"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -37,9 +39,9 @@ type GridResult struct {
 // validate a request, expand it into independent measurement jobs,
 // and merge ordered results into the deterministic report — the
 // single definition consumed by internal/serve (POST /v1/sweep/{kind}),
-// the internal/fabric coordinator (sharded + SSE) and the one-shot
-// CLIs. Adding a sweep to every surface at once is adding one entry
-// to the registry.
+// the internal/fabric coordinator (sharded + SSE) and cmd/sweep.
+// Adding a sweep to every surface at once is adding one entry to the
+// registry.
 type Kind struct {
 	// Name is the kind's wire name — the {kind} path segment and the
 	// resultcache.SweepKey kind string.
@@ -58,11 +60,79 @@ type Kind struct {
 	// measurement grid. The order is part of the sweep's byte-identity
 	// contract: Report reads results at exactly these indices.
 	Grid func(cfg config.Config, specs []workload.Spec) ([]Job, error)
-	// Report is the pure merge half: it assembles the report payload
-	// from ordered grid results. res[i] belongs to grid[i]; the same
-	// function merges local batches and fleet-collected results, which
-	// is what makes the two byte-identical.
-	Report func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (json.RawMessage, error)
+	// Report is the pure merge half: it assembles the typed report
+	// (an exp report, or the run batch's []Envelope) from ordered grid
+	// results. res[i] belongs to grid[i]; the same function merges
+	// local batches and fleet-collected results, and every surface
+	// marshals its value with the one json.Marshal, which is what makes
+	// their payload bytes identical.
+	Report func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error)
+}
+
+// Scope resolves a sweep request's workload scope — the names echoed
+// in the response envelope and the specs the grid expands. A sweep
+// takes a workloads list, never the single workload/spec form of
+// /v1/run; an empty list falls back to the kind's Defaults, and a
+// kind without defaults (run) requires explicit names. Both daemons
+// and cmd/sweep call it, so they accept exactly the same scopes.
+func (k Kind) Scope(req JobRequest) ([]string, []workload.Spec, error) {
+	if req.Workload != "" || len(req.Spec) > 0 {
+		return nil, nil, fmt.Errorf("sweeps take a workloads list, not workload/spec")
+	}
+	names := req.Workloads
+	if len(names) == 0 {
+		if k.Defaults == nil {
+			return nil, nil, fmt.Errorf("a %s batch needs an explicit workloads list", k.Name)
+		}
+		names = k.Defaults()
+	}
+	specs := make([]workload.Spec, len(names))
+	for i, n := range names {
+		sp, err := workload.SpecByName(n)
+		if err != nil {
+			return nil, nil, err
+		}
+		specs[i] = sp
+	}
+	return names, specs, nil
+}
+
+// Run executes a sweep kind locally — the one local executor, shared
+// by the single-node server, cmd/sweep and gpgpumem.RunSweep: expand
+// the grid, run it as one batch on the worker pool (per-job configs —
+// the advise grid varies the architecture), and hand the ordered
+// results to the kind's pure Report half. The fabric coordinator runs
+// the same Grid and Report against fleet-collected results, which is
+// what makes a fleet-merged report byte-identical to this one.
+func Run(ctx context.Context, k Kind, cfg config.Config, specs []workload.Spec, p exp.RunParams) (any, error) {
+	grid, err := k.Grid(cfg, specs)
+	if err != nil {
+		return nil, err
+	}
+	jobs := make([]runner.Job, len(grid))
+	for i, g := range grid {
+		jobs[i] = runner.Job{
+			Config: g.Config, Workload: g.Spec,
+			WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles,
+		}
+	}
+	results, err := runner.Run(ctx, jobs, runner.Options{Parallelism: p.Parallelism})
+	if err != nil {
+		return nil, err
+	}
+	res := make([]GridResult, len(grid))
+	for i, g := range grid {
+		key, err := resultcache.JobKey(g.Config, g.Spec, p.WarmupCycles, p.WindowCycles)
+		if err != nil {
+			return nil, err
+		}
+		enc, err := exp.EncodeResults(results[i])
+		if err != nil {
+			return nil, err
+		}
+		res[i] = GridResult{Key: key, Encoded: enc, Results: results[i]}
+	}
+	return k.Report(cfg, specs, p, grid, res)
 }
 
 // decoded projects grid results onto the []sim.Results layout the exp
@@ -99,12 +169,12 @@ func kinds() []Kind {
 			Description:  "per-workload stall-cycle attribution (exp.BottleneckReport)",
 			Defaults:     suiteAndScenarioNames,
 			Grid:         specJobs,
-			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (json.RawMessage, error) {
+			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
 				wls := make([]workload.Workload, len(specs))
 				for i, sp := range specs {
 					wls[i] = sp
 				}
-				return json.Marshal(exp.BuildBottleneckReport(cfg, wls, p, decoded(res)))
+				return exp.BuildBottleneckReport(cfg, wls, p, decoded(res)), nil
 			},
 		},
 		{
@@ -123,8 +193,8 @@ func kinds() []Kind {
 				}
 				return grid, nil
 			},
-			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (json.RawMessage, error) {
-				return json.Marshal(exp.BuildScenarioReport(specs, decoded(res)))
+			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
+				return exp.BuildScenarioReport(specs, decoded(res)), nil
 			},
 		},
 		{
@@ -143,12 +213,8 @@ func kinds() []Kind {
 				}
 				return grid, nil
 			},
-			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (json.RawMessage, error) {
-				rep, err := exp.BuildAdviseReport(specs, p, decoded(res))
-				if err != nil {
-					return nil, err
-				}
-				return json.Marshal(rep)
+			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
+				return exp.BuildAdviseReport(specs, p, decoded(res))
 			},
 		},
 		{
@@ -167,12 +233,8 @@ func kinds() []Kind {
 				}
 				return grid, nil
 			},
-			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (json.RawMessage, error) {
-				rep, err := exp.BuildMitigationReport(specs, p, decoded(res))
-				if err != nil {
-					return nil, err
-				}
-				return json.Marshal(rep)
+			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
+				return exp.BuildMitigationReport(specs, p, decoded(res))
 			},
 		},
 		{
@@ -181,7 +243,7 @@ func kinds() []Kind {
 			Description:  "plain measurement batch: the ordered per-workload run envelopes",
 			Defaults:     nil, // a run batch needs an explicit workloads list
 			Grid:         specJobs,
-			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (json.RawMessage, error) {
+			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
 				envs := make([]Envelope, len(grid))
 				for i := range grid {
 					envs[i] = Envelope{
@@ -191,7 +253,7 @@ func kinds() []Kind {
 						Results: res[i].Encoded,
 					}
 				}
-				return json.Marshal(envs)
+				return envs, nil
 			},
 		},
 	}

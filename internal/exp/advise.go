@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -42,7 +41,8 @@ type Perturbation struct {
 // The set covers the mitigations the paper's related work keeps
 // recommending — bigger caches, more MSHRs, a wider interconnect,
 // deeper queues — plus one software counterfactual (forced full
-// coalescing); RunAdvise measures them all instead of citing them.
+// coalescing); the advise sweep kind measures them all instead of
+// citing them.
 func Perturbations() []Perturbation {
 	return []Perturbation{
 		{
@@ -121,51 +121,6 @@ func Perturbations() []Perturbation {
 	}
 }
 
-// PolicyPerturbations returns the mitigation policies of
-// internal/policy as advisor interventions: zero-silicon-cost config
-// knobs ranked alongside the hardware ones. They are not part of
-// Perturbations() — the registered advise sweep's grid (and its pinned
-// golden) is unchanged — but callers can append them and use the With
-// variants (cmd/advise -policies does).
-func PolicyPerturbations() []Perturbation {
-	mit := func(name string) func(config.Config, workload.Spec) (config.Config, workload.Spec) {
-		for _, m := range Mitigations() {
-			if m.Name == name {
-				apply := m.Apply
-				return func(cfg config.Config, sp workload.Spec) (config.Config, workload.Spec) {
-					return apply(cfg), sp
-				}
-			}
-		}
-		panic(fmt.Sprintf("exp: unknown mitigation %q", name))
-	}
-	// Cost 0.1: not free (scheduling/bypass logic and verification
-	// effort), but far below any capacity change.
-	return []Perturbation{
-		{
-			Name:        "p-throttle",
-			Description: "policy: throttle memory-warp issue while MSHRs saturate",
-			Targets:     []stats.StallCause{stats.StallL1Miss, stats.StallIcnt, stats.StallL2Queue, stats.StallDRAMQueue},
-			Cost:        0.1,
-			Apply:       mit("throttle"),
-		},
-		{
-			Name:        "p-l1bypass",
-			Description: "policy: bypass first-touch (streaming) L1 fills",
-			Targets:     []stats.StallCause{stats.StallL1Miss, stats.StallMemPipe},
-			Cost:        0.1,
-			Apply:       mit("l1-bypass"),
-		},
-		{
-			Name:        "p-l2pin",
-			Description: "policy: pin L2 lines with proven reuse",
-			Targets:     []stats.StallCause{stats.StallL1Miss, stats.StallL2Queue},
-			Cost:        0.1,
-			Apply:       mit("l2-pin"),
-		},
-	}
-}
-
 // Coalesced returns the fully coalesced variant of a spec: every warp
 // memory access touches exactly one cache line (top level and in every
 // phase), modelling the kernel after a perfect access-restructuring
@@ -199,18 +154,10 @@ type AdviseJob struct {
 // layout is part of the sweep's byte-identity contract —
 // BuildAdviseReport reads results in exactly this stride.
 func AdviseGrid(base config.Config, specs []workload.Spec) ([]AdviseJob, error) {
-	return AdviseGridWith(base, specs, Perturbations())
-}
-
-// AdviseGridWith is AdviseGrid over an explicit perturbation set (grid
-// stride 1+len(perts)); pair it with BuildAdviseReportWith on the same
-// set. It exists so callers can extend the candidate list — e.g. with
-// PolicyPerturbations() — without changing the registered advise
-// sweep's grid.
-func AdviseGridWith(base config.Config, specs []workload.Spec, perts []Perturbation) ([]AdviseJob, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("exp: advise needs at least one workload")
 	}
+	perts := Perturbations()
 	grid := make([]AdviseJob, 0, len(specs)*(1+len(perts)))
 	for _, sp := range specs {
 		if err := sp.Validate(); err != nil {
@@ -270,63 +217,15 @@ type AdviseReport struct {
 	Rows   []AdviseRow `json:"rows"`
 }
 
-// DefaultAdviseWorkloads returns the advisor's default scope — the
-// same suite-plus-scenarios set the bottleneck breakdown sweeps — as
-// specs.
-func DefaultAdviseWorkloads() []workload.Spec {
-	wls := DefaultBottleneckWorkloads()
-	specs := make([]workload.Spec, len(wls))
-	for i, wl := range wls {
-		sp, err := workload.SpecByName(wl.Name())
-		if err != nil {
-			panic(err)
-		}
-		specs[i] = sp
-	}
-	return specs
-}
-
-// RunAdvise measures the advisor grid — baseline plus every
-// Perturbations() candidate per workload — as one batch on the worker
-// pool and ranks the interventions. Like every harness, the report is
-// bit-identical at any parallelism.
-func RunAdvise(base config.Config, specs []workload.Spec, p RunParams) (AdviseReport, error) {
-	return RunAdviseWith(base, specs, Perturbations(), p)
-}
-
-// RunAdviseWith is RunAdvise over an explicit perturbation set, for
-// callers extending the candidates (cmd/advise -policies appends
-// PolicyPerturbations()).
-func RunAdviseWith(base config.Config, specs []workload.Spec, perts []Perturbation, p RunParams) (AdviseReport, error) {
-	grid, err := AdviseGridWith(base, specs, perts)
-	if err != nil {
-		return AdviseReport{}, err
-	}
-	jobs := make([]runner.Job, len(grid))
-	for i, g := range grid {
-		jobs[i] = job(g.Config, g.Spec, p)
-	}
-	res, err := run(jobs, p)
-	if err != nil {
-		return AdviseReport{}, err
-	}
-	return BuildAdviseReportWith(specs, perts, p, res)
-}
-
 // BuildAdviseReport assembles the advisor report from already-measured
 // grid results laid out as AdviseGrid produces them: for specs[i],
 // res[i*(1+P)] is the baseline and the following P entries are the
-// perturbations in Perturbations() order. It is the pure merge half of
-// RunAdvise, shared with the internal/fabric coordinator so a
-// fleet-merged report is byte-identical to a local one.
+// perturbations in Perturbations() order. It is the advise sweep
+// kind's pure merge half, the same function whether the results were
+// computed locally or collected from a fleet, so the two reports are
+// byte-identical.
 func BuildAdviseReport(specs []workload.Spec, p RunParams, res []sim.Results) (AdviseReport, error) {
-	return BuildAdviseReportWith(specs, Perturbations(), p, res)
-}
-
-// BuildAdviseReportWith is BuildAdviseReport over an explicit
-// perturbation set, matching a grid from AdviseGridWith on the same
-// set.
-func BuildAdviseReportWith(specs []workload.Spec, perts []Perturbation, p RunParams, res []sim.Results) (AdviseReport, error) {
+	perts := Perturbations()
 	stride := 1 + len(perts)
 	if len(res) != len(specs)*stride {
 		return AdviseReport{}, fmt.Errorf("exp: advise merge: %d results for %d workloads (want %d)",

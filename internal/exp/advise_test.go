@@ -21,25 +21,6 @@ func adviseSpecs(t *testing.T, names ...string) []workload.Spec {
 	return specs
 }
 
-// TestGoldenAdviseReport pins the advisor's rendered verdict — grid
-// layout, ranking and formatting — at serial and parallel worker
-// counts. Regenerate with scripts/regen-golden.sh.
-func TestGoldenAdviseReport(t *testing.T) {
-	want := readGolden(t, "advise.golden")
-	cfg := config.GTX480Baseline()
-	cfg.Seed = 1
-	specs := adviseSpecs(t, "sc", "kmeans")
-	for _, j := range []int{1, 4} {
-		rep, err := RunAdvise(cfg, specs, goldenParams(j))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := rep.String(); got != want {
-			t.Errorf("j=%d: advise report drifted from golden:\n got:\n%s\nwant:\n%s", j, got, want)
-		}
-	}
-}
-
 // TestAdviseGridLayout: the grid is baseline-first with one entry per
 // perturbation, per spec, and building it mutates neither the base
 // config nor the input specs (Apply purity).
@@ -105,34 +86,5 @@ func TestCoalesced(t *testing.T) {
 	}
 	if err := co.Validate(); err != nil {
 		t.Errorf("coalesced variant does not validate: %v", err)
-	}
-}
-
-// TestBuildAdviseReportShape: the merge half rejects a result slice
-// that does not match the grid stride, and every row ranks all
-// perturbations.
-func TestBuildAdviseReportShape(t *testing.T) {
-	cfg := config.GTX480Baseline()
-	specs := adviseSpecs(t, "sc")
-	p := goldenParams(2)
-	rep, err := RunAdvise(cfg, specs, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 1 || len(rep.Rows[0].Interventions) != len(Perturbations()) {
-		t.Fatalf("report shape: %d rows, %d interventions", len(rep.Rows), len(rep.Rows[0].Interventions))
-	}
-	for i := 1; i < len(rep.Rows[0].Interventions); i++ {
-		a, b := rep.Rows[0].Interventions[i-1], rep.Rows[0].Interventions[i]
-		if a.Score < b.Score {
-			t.Errorf("ranking not descending at %d: %f < %f", i, a.Score, b.Score)
-		}
-	}
-	if !strings.HasPrefix(rep.CSV(), "workload,baseline_ipc,bound,rank,") {
-		t.Errorf("CSV header: %q", strings.SplitN(rep.CSV(), "\n", 2)[0])
-	}
-
-	if _, err := BuildAdviseReport(specs, p, nil); err == nil || !strings.Contains(err.Error(), "advise merge") {
-		t.Errorf("mismatched result count error = %v", err)
 	}
 }

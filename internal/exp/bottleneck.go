@@ -45,27 +45,11 @@ func DefaultBottleneckWorkloads() []workload.Workload {
 	return wls
 }
 
-// RunBottleneckBreakdown measures every workload on the base
-// architecture as one batch on the worker pool and reports each one's
-// stall stack. Like every harness, the report is bit-identical at any
-// parallelism.
-func RunBottleneckBreakdown(base config.Config, wls []workload.Workload, p RunParams) (BottleneckReport, error) {
-	if len(wls) == 0 {
-		return BottleneckReport{}, fmt.Errorf("exp: bottleneck breakdown needs at least one workload")
-	}
-	res, err := Baselines(base, wls, p)
-	if err != nil {
-		return BottleneckReport{}, err
-	}
-	return BuildBottleneckReport(base, wls, p, res), nil
-}
-
 // BuildBottleneckReport assembles the breakdown report from
 // already-measured results, res[i] belonging to wls[i]. It is the
-// pure merge half of RunBottleneckBreakdown, split out so a caller
-// that obtained the measurements elsewhere — the internal/fabric
-// coordinator collects them from a worker fleet — produces a report
-// byte-identical to a local run of the whole batch.
+// bottleneck sweep kind's pure merge half, the same function whether
+// the results were computed locally or collected from a fleet, so the
+// two reports are byte-identical.
 func BuildBottleneckReport(base config.Config, wls []workload.Workload, p RunParams, res []sim.Results) BottleneckReport {
 	rep := BottleneckReport{Warmup: p.WarmupCycles, Window: p.WindowCycles,
 		Rows: make([]BottleneckRow, len(wls))}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/policy"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -66,13 +65,6 @@ func Mitigations() []Mitigation {
 			},
 		},
 	}
-}
-
-// DefaultMitigationWorkloads returns the sweep's default scope: the
-// multi-phase scenarios, whose phase changes are where a policy's
-// stall-shifting shows up most clearly.
-func DefaultMitigationWorkloads() []workload.Spec {
-	return workload.Scenarios()
 }
 
 // MitigationGrid validates the workloads and expands them into the
@@ -141,33 +133,13 @@ type MitigationReport struct {
 	Rows   []MitigationRow `json:"rows"`
 }
 
-// RunMitigationSweep measures the mitigation grid — baseline plus
-// every Mitigations() candidate per workload — as one batch on the
-// worker pool. Like every harness, the report is bit-identical at any
-// parallelism.
-func RunMitigationSweep(base config.Config, specs []workload.Spec, p RunParams) (MitigationReport, error) {
-	grid, err := MitigationGrid(base, specs)
-	if err != nil {
-		return MitigationReport{}, err
-	}
-	jobs := make([]runner.Job, len(grid))
-	for i, g := range grid {
-		jobs[i] = job(g.Config, g.Spec, p)
-	}
-	res, err := run(jobs, p)
-	if err != nil {
-		return MitigationReport{}, err
-	}
-	return BuildMitigationReport(specs, p, res)
-}
-
 // BuildMitigationReport assembles the mitigation report from
 // already-measured grid results laid out as MitigationGrid produces
 // them: for specs[i], res[i*(1+M)] is the baseline and the following M
-// entries are the mitigations in Mitigations() order. It is the pure
-// merge half of RunMitigationSweep, shared with the internal/fabric
-// coordinator so a fleet-merged report is byte-identical to a local
-// one.
+// entries are the mitigations in Mitigations() order. It is the
+// mitigation sweep kind's pure merge half, the same function whether
+// the results were computed locally or collected from a fleet, so the
+// two reports are byte-identical.
 func BuildMitigationReport(specs []workload.Spec, p RunParams, res []sim.Results) (MitigationReport, error) {
 	mits := Mitigations()
 	stride := 1 + len(mits)

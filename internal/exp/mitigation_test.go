@@ -7,25 +7,6 @@ import (
 	"repro/internal/config"
 )
 
-// TestGoldenMitigationReport pins the mitigation sweep's rendered
-// verdict — grid layout, ranking and formatting — at serial and
-// parallel worker counts. Regenerate with scripts/regen-golden.sh.
-func TestGoldenMitigationReport(t *testing.T) {
-	want := readGolden(t, "mitigation.golden")
-	cfg := config.GTX480Baseline()
-	cfg.Seed = 1
-	specs := adviseSpecs(t, "kmeans", "bfs")
-	for _, j := range []int{1, 4} {
-		rep, err := RunMitigationSweep(cfg, specs, goldenParams(j))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := rep.String(); got != want {
-			t.Errorf("j=%d: mitigation report drifted from golden:\n got:\n%s\nwant:\n%s", j, got, want)
-		}
-	}
-}
-
 // TestMitigationGridLayout: the grid is baseline-first with one entry
 // per mitigation, per spec, every mitigated config validates, and
 // building the grid mutates neither the base config nor the specs
@@ -65,34 +46,5 @@ func TestMitigationGridLayout(t *testing.T) {
 
 	if _, err := MitigationGrid(base, nil); err == nil || !strings.Contains(err.Error(), "at least one workload") {
 		t.Errorf("empty grid error = %v", err)
-	}
-}
-
-// TestBuildMitigationReportShape: every row ranks all mitigations by
-// IPC recovered, the CSV header is stable, and the merge half rejects
-// a result slice that does not match the grid stride.
-func TestBuildMitigationReportShape(t *testing.T) {
-	cfg := config.GTX480Baseline()
-	specs := adviseSpecs(t, "sc")
-	p := goldenParams(2)
-	rep, err := RunMitigationSweep(cfg, specs, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 1 || len(rep.Rows[0].Policies) != len(Mitigations()) {
-		t.Fatalf("report shape: %d rows, %d policies", len(rep.Rows), len(rep.Rows[0].Policies))
-	}
-	for i := 1; i < len(rep.Rows[0].Policies); i++ {
-		a, b := rep.Rows[0].Policies[i-1], rep.Rows[0].Policies[i]
-		if a.DeltaIPC < b.DeltaIPC {
-			t.Errorf("ranking not descending at %d: %f < %f", i, a.DeltaIPC, b.DeltaIPC)
-		}
-	}
-	if !strings.HasPrefix(rep.CSV(), "workload,baseline_ipc,bound,rank,policy,") {
-		t.Errorf("CSV header: %q", strings.SplitN(rep.CSV(), "\n", 2)[0])
-	}
-
-	if _, err := BuildMitigationReport(specs, p, nil); err == nil || !strings.Contains(err.Error(), "mitigation merge") {
-		t.Errorf("mismatched result count error = %v", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/config"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -41,27 +40,6 @@ type ScenarioReport struct {
 	Rows []ScenarioRow
 }
 
-// RunScenarioSweep measures every scenario and its Flatten() fixed-mix
-// control on the base architecture, as one batch on the worker pool
-// (two simulations per scenario), and reports IPC and queue-occupancy
-// side by side. Single-phase specs are rejected: their control would
-// be themselves.
-func RunScenarioSweep(base config.Config, scenarios []workload.Spec, p RunParams) (ScenarioReport, error) {
-	grid, err := ScenarioGrid(scenarios)
-	if err != nil {
-		return ScenarioReport{}, err
-	}
-	wls := make([]workload.Workload, len(grid))
-	for i, s := range grid {
-		wls[i] = s
-	}
-	res, err := Baselines(base, wls, p)
-	if err != nil {
-		return ScenarioReport{}, err
-	}
-	return BuildScenarioReport(scenarios, res), nil
-}
-
 // ScenarioGrid validates the scenarios and expands them into the
 // sweep's measurement grid: scenario, control, scenario, control —
 // each scenario immediately followed by its Flatten() fixed-mix
@@ -85,9 +63,9 @@ func ScenarioGrid(scenarios []workload.Spec) ([]workload.Spec, error) {
 // BuildScenarioReport assembles the comparison rows from
 // already-measured grid results laid out as ScenarioGrid produces
 // them: res[2i] is scenarios[i], res[2i+1] its flattened control. It
-// is the pure merge half of RunScenarioSweep, shared with the
-// internal/fabric coordinator so a fleet-merged report is
-// byte-identical to a local one.
+// is the scenarios sweep kind's pure merge half, the same function
+// whether the results were computed locally or collected from a
+// fleet, so the two reports are byte-identical.
 func BuildScenarioReport(scenarios []workload.Spec, res []sim.Results) ScenarioReport {
 	rep := ScenarioReport{Rows: make([]ScenarioRow, len(scenarios))}
 	for i, s := range scenarios {

@@ -58,7 +58,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/resultcache"
 	"repro/internal/runner"
-	"repro/internal/workload"
 )
 
 // Options configures a Coordinator.
@@ -258,23 +257,9 @@ func (c *Coordinator) RunSweep(ctx context.Context, kind string, req api.JobRequ
 	if err != nil {
 		return api.Envelope{}, badRequest("%v", err)
 	}
-	if req.Workload != "" || len(req.Spec) > 0 {
-		return api.Envelope{}, badRequest("sweeps take a workloads list, not workload/spec")
-	}
-	names := req.Workloads
-	if len(names) == 0 {
-		if k.Defaults == nil {
-			return api.Envelope{}, badRequest("a %s batch needs an explicit workloads list", k.Name)
-		}
-		names = k.Defaults()
-	}
-	specs := make([]workload.Spec, len(names))
-	for i, n := range names {
-		sp, err := workload.SpecByName(n)
-		if err != nil {
-			return api.Envelope{}, badRequest("%v", err)
-		}
-		specs[i] = sp
+	names, specs, err := k.Scope(req)
+	if err != nil {
+		return api.Envelope{}, badRequest("%v", err)
 	}
 	cfg, p, err := api.ResolveMethodology(c.base, req, c.maxParallel, c.maxWindow)
 	if err != nil {
@@ -370,9 +355,13 @@ func (c *Coordinator) RunSweep(ctx context.Context, kind string, req api.JobRequ
 		}
 		res[i] = api.GridResult{Key: keys[i], Encoded: out.env.Results, Results: r}
 	}
-	report, err := k.Report(cfg, specs, p, grid, res)
+	rep, err := k.Report(cfg, specs, p, grid, res)
 	if err != nil {
 		return api.Envelope{}, fmt.Errorf("fabric: merge %s report: %w", k.Name, err)
+	}
+	report, err := json.Marshal(rep)
+	if err != nil {
+		return api.Envelope{}, fmt.Errorf("fabric: marshal %s report: %w", k.Name, err)
 	}
 	env := api.Envelope{
 		Kind:         k.ResponseKind,

@@ -1,12 +1,14 @@
 package fabric
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/config"
 	"repro/internal/exp"
 	"repro/internal/policy"
@@ -76,8 +78,8 @@ func TestCoordinatorPolicyNameErrors(t *testing.T) {
 // contract: the fleet-merged mitigation sweep — per-job policy configs
 // shipped inline to the workers — is byte-identical to a single node's
 // /v1/sweep/mitigation body, survives losing a worker mid-sweep, and
-// its report payload is exactly what the library's RunMitigationSweep
-// marshals (cmd/mitigate -json output).
+// its report payload is exactly what the registry's local executor
+// api.Run marshals (sweep mitigation -json output).
 func TestFleetMitigationMatchesSingleNode(t *testing.T) {
 	_, single := newWorker(t, serve.Options{})
 
@@ -119,7 +121,11 @@ func TestFleetMitigationMatchesSingleNode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep, err := exp.RunMitigationSweep(config.GTX480Baseline(), specs,
+	k, err := api.KindByName("mitigation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := api.Run(context.Background(), k, config.GTX480Baseline(), specs,
 		exp.RunParams{WarmupCycles: 200, WindowCycles: 500, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -129,6 +135,6 @@ func TestFleetMitigationMatchesSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(env.Report) != string(local) {
-		t.Errorf("fleet mitigation report differs from RunMitigationSweep:\n got: %s\nwant: %s", env.Report, local)
+		t.Errorf("fleet mitigation report differs from api.Run:\n got: %s\nwant: %s", env.Report, local)
 	}
 }

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -59,8 +60,8 @@ func TestCoordinatorKindErrors(t *testing.T) {
 // the fleet-merged advise sweep — perturbed per-job configs shipped
 // inline to the workers — is byte-identical to a single node's
 // /v1/sweep/advise body, survives losing a worker mid-sweep, and its
-// report payload is exactly what the library's RunAdvise marshals
-// (cmd/advise -json output).
+// report payload is exactly what the registry's local executor
+// api.Run marshals (sweep advise -json output).
 func TestFleetAdviseMatchesSingleNode(t *testing.T) {
 	_, single := newWorker(t, serve.Options{})
 
@@ -102,7 +103,11 @@ func TestFleetAdviseMatchesSingleNode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep, err := exp.RunAdvise(config.GTX480Baseline(), specs,
+	k, err := api.KindByName("advise")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := api.Run(context.Background(), k, config.GTX480Baseline(), specs,
 		exp.RunParams{WarmupCycles: 200, WindowCycles: 500, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +117,7 @@ func TestFleetAdviseMatchesSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(env.Report) != string(local) {
-		t.Errorf("fleet advise report differs from RunAdvise:\n got: %s\nwant: %s", env.Report, local)
+		t.Errorf("fleet advise report differs from api.Run:\n got: %s\nwant: %s", env.Report, local)
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -57,8 +58,8 @@ func TestSweepKindErrors(t *testing.T) {
 
 // TestAdviseEndpoint: POST /v1/advise is the documented alias for
 // /v1/sweep/advise — same bytes, same cache entry — and the report
-// payload is exactly what the library's RunAdvise marshals (which is
-// also what cmd/advise -json prints).
+// payload is exactly what the registry's local executor api.Run
+// marshals (which is also what sweep advise -json prints).
 func TestAdviseEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	body := `{"workloads":["sc"],"warmup_cycles":200,"window_cycles":500,"parallelism":2}`
@@ -85,7 +86,11 @@ func TestAdviseEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := exp.RunAdvise(config.GTX480Baseline(), []workload.Spec{sp},
+	k, err := api.KindByName("advise")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := api.Run(context.Background(), k, config.GTX480Baseline(), []workload.Spec{sp},
 		exp.RunParams{WarmupCycles: 200, WindowCycles: 500, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +100,7 @@ func TestAdviseEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(env.Report) != string(want) {
-		t.Errorf("served advise report differs from RunAdvise:\n got: %s\nwant: %s", env.Report, want)
+		t.Errorf("served advise report differs from api.Run:\n got: %s\nwant: %s", env.Report, want)
 	}
 }
 

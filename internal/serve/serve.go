@@ -32,8 +32,9 @@
 //
 // The sweep endpoints are not per-kind handlers: one generic handler
 // walks the internal/api sweep-kind registry, so a kind registered
-// there (bottleneck, scenarios, advise, run, ...) is served here, by
-// the fabric coordinator, and by the CLIs without further wiring.
+// there (bottleneck, scenarios, advise, mitigation, run, ...) is
+// served here, by the fabric coordinator, and by cmd/sweep without
+// further wiring.
 //
 // Responses carry an X-Cache: hit|miss|peer header; the JSON body of
 // a hit is byte-identical to the body the original miss returned.
@@ -66,7 +67,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/exp"
 	"repro/internal/resultcache"
-	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -424,9 +424,9 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweep is the one sweep skeleton: look the kind up in the registry,
-// resolve names to specs, content-address the sweep, expand and run
-// the kind's grid under admission control, merge with the kind's pure
-// report half, and serve the stored report bytes.
+// resolve its workload scope, content-address the sweep, run it with
+// the registry's local executor (api.Run) under admission control, and
+// serve the stored report bytes.
 func (s *Server) sweep(w http.ResponseWriter, r *http.Request, kindName string) {
 	k, err := api.KindByName(kindName)
 	if err != nil {
@@ -438,26 +438,10 @@ func (s *Server) sweep(w http.ResponseWriter, r *http.Request, kindName string) 
 		api.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Workload != "" || len(req.Spec) > 0 {
-		api.Error(w, http.StatusBadRequest, fmt.Errorf("sweeps take a workloads list, not workload/spec"))
+	names, specs, err := k.Scope(req)
+	if err != nil {
+		api.Error(w, http.StatusBadRequest, err)
 		return
-	}
-	names := req.Workloads
-	if len(names) == 0 {
-		if k.Defaults == nil {
-			api.Error(w, http.StatusBadRequest, fmt.Errorf("a %s batch needs an explicit workloads list", k.Name))
-			return
-		}
-		names = k.Defaults()
-	}
-	specs := make([]workload.Spec, len(names))
-	for i, n := range names {
-		sp, err := workload.SpecByName(n)
-		if err != nil {
-			api.Error(w, http.StatusBadRequest, err)
-			return
-		}
-		specs[i] = sp
 	}
 	cfg, p, err := s.methodology(req)
 	if err != nil {
@@ -476,7 +460,11 @@ func (s *Server) sweep(w http.ResponseWriter, r *http.Request, kindName string) 
 			return val, nil
 		}
 		return s.runJob(r.Context(), func() ([]byte, error) {
-			return s.computeSweep(k, cfg, specs, p)
+			rep, err := api.Run(context.Background(), k, cfg, specs, p)
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(rep)
 		})
 	})
 	if err != nil {
@@ -491,43 +479,6 @@ func (s *Server) sweep(w http.ResponseWriter, r *http.Request, kindName string) 
 		WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles,
 		Report: val,
 	})
-}
-
-// computeSweep executes a sweep kind locally: expand the grid, run it
-// as one batch on the worker pool (per-job configs — the advise grid
-// varies the architecture), and hand the ordered results to the
-// kind's pure merge half. The fabric coordinator runs the same Grid
-// and Report against fleet-collected results, which is what makes a
-// fleet-merged report byte-identical to this one.
-func (s *Server) computeSweep(k api.Kind, cfg config.Config, specs []workload.Spec, p exp.RunParams) ([]byte, error) {
-	grid, err := k.Grid(cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-	jobs := make([]runner.Job, len(grid))
-	for i, g := range grid {
-		jobs[i] = runner.Job{
-			Config: g.Config, Workload: g.Spec,
-			WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles,
-		}
-	}
-	results, err := runner.Run(context.Background(), jobs, runner.Options{Parallelism: p.Parallelism})
-	if err != nil {
-		return nil, err
-	}
-	res := make([]api.GridResult, len(grid))
-	for i, g := range grid {
-		jobKey, err := resultcache.JobKey(g.Config, g.Spec, p.WarmupCycles, p.WindowCycles)
-		if err != nil {
-			return nil, err
-		}
-		enc, err := exp.EncodeResults(results[i])
-		if err != nil {
-			return nil, err
-		}
-		res[i] = api.GridResult{Key: jobKey, Encoded: enc, Results: results[i]}
-	}
-	return k.Report(cfg, specs, p, grid, res)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

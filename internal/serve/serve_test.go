@@ -280,6 +280,10 @@ func TestRequestValidation(t *testing.T) {
 		"zero window":      {"/v1/run", `{"workload":"sc","window_cycles":0}`, "warmup must be"},
 		"run with list":    {"/v1/run", `{"workloads":["sc","lbm"]}`, "goes to /v1/sweep"},
 		"trailing data":    {"/v1/run", `{"workload":"sc"}{"workload":"lbm"}`, "trailing data"},
+		// warmup+window wraps int64 below the cap; it must not pass
+		// as a tiny job and hold a run slot forever.
+		"warmup overflow": {"/v1/run", `{"workload":"sc","warmup_cycles":9223372036854775807,"window_cycles":1}`, "exceeds the server cap"},
+		"sweep overflow":  {"/v1/sweep/bottleneck", `{"workloads":["sc"],"warmup_cycles":9223372036854775807,"window_cycles":1}`, "exceeds the server cap"},
 	}
 	for name, tc := range cases {
 		code, _, body := post(t, ts, tc.path, tc.body)

@@ -51,7 +51,7 @@
 //
 // Every core cycle of every SM is attributed to exactly one cause in
 // its stats.StallBreakdown — the "where do the cycles go" stack of
-// Results.Stalls, cmd/bottleneck and gpusim -stalls. The categories:
+// Results.Stalls, sweep bottleneck and gpusim -stalls. The categories:
 //
 //   - issue: at least one warp instruction issued (compute progress);
 //   - scoreboard: no warp could issue and no L1 miss is outstanding —

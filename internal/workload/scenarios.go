@@ -4,8 +4,8 @@ package workload
 // behaviour shifts over time — the case the paper's single-window
 // methodology averages away and Ausavarungnirun et al. motivate
 // modelling explicitly. Each one alternates phases that stress
-// different levels of the hierarchy; exp.RunScenarioSweep compares
-// every scenario against its Flatten() fixed-mix control.
+// different levels of the hierarchy; the scenarios sweep kind
+// compares every scenario against its Flatten() fixed-mix control.
 func init() {
 	register(Spec{
 		SpecName:    "kmeans",

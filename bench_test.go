@@ -1,9 +1,10 @@
 package gpgpumem
 
 // One benchmark per paper artifact. Each regenerates the experiment
-// behind a figure or table at reduced scale (the cmd/ binaries run
-// the full-scale versions) and reports the headline quantity with
-// b.ReportMetric so `go test -bench=.` prints the reproduced numbers:
+// behind a figure or table at reduced scale (`sweep latency`,
+// `sweep occupancy` and `sweep designspace` run the full-scale
+// versions) and reports the headline quantity with b.ReportMetric so
+// `go test -bench=.` prints the reproduced numbers:
 //
 //	BenchmarkFig1LatencyTolerance  — Fig. 1: plateau speedup and
 //	                                 crossover latency per benchmark
@@ -14,13 +15,65 @@ package gpgpumem
 //	                                  L1+L2 +69, L2+DRAM +76)
 //	BenchmarkAblation*             — beyond-paper design ablations
 import (
+	"context"
 	"fmt"
 	"testing"
+
+	"repro/internal/exp"
 )
 
 // benchParams trades a little measurement stability for bench speed;
-// cmd/ binaries use the full DefaultRunParams.
+// the sweep kinds use the full DefaultRunParams.
 func benchParams() RunParams { return RunParams{WarmupCycles: 4000, WindowCycles: 10000} }
+
+// suiteSpecs is the Fig. 1 suite as specs, the form the sweep grids
+// take.
+func suiteSpecs(b *testing.B) []WorkloadSpec {
+	b.Helper()
+	suite := Suite()
+	specs := make([]WorkloadSpec, len(suite))
+	for i, wl := range suite {
+		sp, err := WorkloadSpecByName(wl.Name())
+		if err != nil {
+			b.Fatal(err)
+		}
+		specs[i] = sp
+	}
+	return specs
+}
+
+// measureGrid fails the benchmark on the grid half's error, else runs
+// the grid on MeasureBatch with p's methodology: the simulations
+// api.Run executes, without the per-job cache key and result encoding
+// it adds.
+func measureGrid(b *testing.B, grid []exp.GridJob, err error, p RunParams) []Results {
+	b.Helper()
+	if err != nil {
+		b.Fatal(err)
+	}
+	jobs := make([]Job, len(grid))
+	for i, g := range grid {
+		jobs[i] = Job{Config: g.Config, Workload: g.Spec,
+			WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles}
+	}
+	res, err := MeasureBatch(context.Background(), jobs, p.Parallelism, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+// fig1 runs the Fig. 1 grid on a reduced latency axis and merges it.
+func fig1(b *testing.B, lats []int64, p RunParams) LatencyReport {
+	b.Helper()
+	specs := suiteSpecs(b)
+	grid, err := exp.Fig1Grid(DefaultConfig(), specs, lats)
+	rep, err := exp.BuildFig1Report(specs, lats, measureGrid(b, grid, err, p))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep
+}
 
 // BenchmarkFig1LatencyTolerance regenerates Fig. 1 (reduced x-axis)
 // and reports each benchmark's plateau speedup (×1000) and crossover
@@ -28,10 +81,7 @@ func benchParams() RunParams { return RunParams{WarmupCycles: 4000, WindowCycles
 func BenchmarkFig1LatencyTolerance(b *testing.B) {
 	lats := []int64{0, 200, 400, 600, 800}
 	for i := 0; i < b.N; i++ {
-		rep, err := RunLatencyToleranceSuite(DefaultConfig(), Suite(), lats, benchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rep := fig1(b, lats, benchParams())
 		for _, c := range rep.Curves {
 			b.ReportMetric(c.PlateauSpeedup, c.Workload+"_plateau_x")
 			b.ReportMetric(c.CrossoverLatency, c.Workload+"_crossover_cyc")
@@ -63,10 +113,12 @@ func BenchmarkSecIIBaselineLatency(b *testing.B) {
 // 39% DRAM scheduler).
 func BenchmarkSecIIIQueueOccupancy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := RunQueueOccupancy(DefaultConfig(), Suite(), benchParams())
-		if err != nil {
-			b.Fatal(err)
+		specs := suiteSpecs(b)
+		jobs := make([]exp.GridJob, len(specs))
+		for j, sp := range specs {
+			jobs[j] = exp.GridJob{Config: DefaultConfig(), Spec: sp}
 		}
+		rep := exp.BuildOccupancyReport(specs, measureGrid(b, jobs, nil, benchParams()))
 		b.ReportMetric(rep.MeanL2AccessFull*100, "l2_access_full_pct")
 		b.ReportMetric(rep.MeanDRAMSchedFull*100, "dram_sched_full_pct")
 	}
@@ -76,8 +128,11 @@ func BenchmarkSecIIIQueueOccupancy(b *testing.B) {
 // and reports the suite-mean speedup percentage.
 func benchScaling(b *testing.B, set ScalingSet) {
 	b.Helper()
+	sets := []ScalingSet{set}
 	for i := 0; i < b.N; i++ {
-		res, err := RunDesignSpace(DefaultConfig(), Suite(), []ScalingSet{set}, benchParams())
+		specs := suiteSpecs(b)
+		grid, err := exp.DesignSpaceGrid(DefaultConfig(), specs, sets)
+		res, err := exp.BuildDesignSpaceReport(specs, sets, measureGrid(b, grid, err, benchParams()))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -234,9 +289,7 @@ func BenchmarkFig1SuiteParallel(b *testing.B) {
 			p := benchParams()
 			p.Parallelism = j
 			for i := 0; i < b.N; i++ {
-				if _, err := RunLatencyToleranceSuite(DefaultConfig(), Suite(), lats, p); err != nil {
-					b.Fatal(err)
-				}
+				fig1(b, lats, p)
 			}
 		})
 	}

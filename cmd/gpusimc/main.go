@@ -12,7 +12,7 @@
 //
 //	# or run one sweep from the command line and exit
 //	gpusimc -workers ... -sweep advise [-workloads cfd,lbm]
-//	        [-warmup N] [-window N] [-seed N] [-scale half-bw] [-j N]
+//	        [-warmup N] [-window N] [-seed N] [-scale l2dram] [-j N]
 //
 // Flags -config, -max-attempts, -backoff, -cooldown, -max-window and
 // -job-timeout tune the coordinator (see docs/operations.md). The

@@ -1,12 +1,16 @@
 // Command sweep runs one registered sweep kind locally and prints its
-// report: the per-workload stall stack, the multi-phase scenarios
-// against their fixed-mix controls, the what-if advisor, the
-// mitigation-policy grid, or a plain measurement batch.
+// report: the paper's artifacts — Fig. 1 latency tolerance with the
+// §II crossover analysis, the §III queue occupancy table, Table I and
+// the §IV design space — or the characterization sweeps built on them
+// (the per-workload stall stack, the multi-phase scenarios against
+// their fixed-mix controls, the what-if advisor, the mitigation-policy
+// grid) or a plain measurement batch.
 //
 // Usage:
 //
-//	sweep <kind> [-workloads a,b] [-j N] [-scale S] [-seed N]
-//	             [-warmup N] [-window N] [-csv | -json]
+//	sweep <kind> [-workloads a,b | -workload-file specs.json] [-j N]
+//	             [-scale S] [-seed N] [-warmup N] [-window N]
+//	             [-csv | -json]
 //
 // The kinds, their descriptions and their default workload scopes come
 // from the internal/api registry the daemons serve; sweep -h lists
@@ -15,6 +19,13 @@
 // exactly the report payload gpusimd returns for that request. Every
 // report is byte-identical at any -j. The run kind's report is a list
 // of measurement envelopes with no table form: it needs -json.
+//
+// -workload-file sweeps the user-defined JSON workload spec(s) in a
+// file (see the README's "Defining your own workload") instead of
+// named workloads, for any kind. It is mutually exclusive with
+// -workloads: merging the two sets would make a typo in either flag
+// invisible. To sweep built-ins and file specs together, add the
+// built-ins' specs to the file.
 package main
 
 import (
@@ -30,6 +41,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/config"
 	"repro/internal/exp"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -37,6 +49,7 @@ func main() {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	var (
 		names  = fs.String("workloads", "", "comma-separated workloads (default: the kind's standard set)")
+		file   = fs.String("workload-file", "", "sweep the user-defined JSON workload spec(s) in this file instead")
 		jobs   = fs.Int("j", 0, "parallel simulations (0 = all cores)")
 		scale  = fs.String("scale", "", "Table I scaling set: baseline|l1|l2|dram|l1l2|l2dram|all")
 		seed   = fs.Uint64("seed", 1, "simulation seed")
@@ -61,6 +74,9 @@ func main() {
 	if *csv && *asJSON {
 		fatal(fmt.Errorf("-csv and -json are mutually exclusive"))
 	}
+	if *names != "" && *file != "" {
+		fatal(fmt.Errorf("-workloads and -workload-file are mutually exclusive (add built-in specs to the file to sweep both)"))
+	}
 
 	k, err := api.KindByName(kind)
 	if err != nil {
@@ -76,8 +92,17 @@ func main() {
 			req.Workloads = append(req.Workloads, strings.TrimSpace(n))
 		}
 	}
-	_, specs, err := k.Scope(req)
-	if err != nil {
+	var specs []workload.Spec
+	if *file != "" {
+		data, err := os.ReadFile(*file)
+		if err != nil {
+			fatal(err)
+		}
+		specs, err = workload.ParseSpecs(data)
+		if err != nil {
+			fatal(err)
+		}
+	} else if _, specs, err = k.Scope(req); err != nil {
 		fatal(err)
 	}
 	// A local run honours any -j and has no window cap.

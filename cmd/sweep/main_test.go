@@ -241,3 +241,74 @@ func TestJSONMatchesDaemon(t *testing.T) {
 		}
 	}
 }
+
+// writeSpecFile writes a one-spec JSON workload file for the
+// -workload-file tests.
+func writeSpecFile(t *testing.T) string {
+	t.Helper()
+	spec := filepath.Join(t.TempDir(), "spec.json")
+	specJSON := `{"name":"myk","warps":4,"dep_dist":1,"compute_per_mem":2,
+	  "access_pattern":"thrash","working_set_lines":4096,"lines_per_access":2,"shared":true}`
+	if err := os.WriteFile(spec, []byte(specJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// TestLatsweepWorkloadFile: a user JSON spec sweeps through the real
+// binary; given alone it replaces the kind's default suite.
+func TestLatsweepWorkloadFile(t *testing.T) {
+	out, _ := clitest.Run(t, build(t), "latency", "-workload-file", writeSpecFile(t),
+		"-warmup", "100", "-window", "300")
+	if !strings.Contains(out, "myk") {
+		t.Fatalf("spec missing from sweep:\n%s", out)
+	}
+	if strings.Contains(out, "cfd") {
+		t.Fatalf("-workload-file alone should replace the default suite:\n%s", out)
+	}
+}
+
+// TestLatsweepWorkloadFileConflict: -workloads combined with
+// -workload-file is a loud error (merging the two sets would hide
+// typos in either flag).
+func TestLatsweepWorkloadFileConflict(t *testing.T) {
+	stderr := clitest.RunExpectError(t, build(t), "latency", "-workloads", "sc", "-workload-file", writeSpecFile(t))
+	if !strings.Contains(stderr, "mutually exclusive") {
+		t.Fatalf("unexpected conflict error: %s", stderr)
+	}
+}
+
+// TestOccupancySmoke: the §III kind runs its default suite on a tiny
+// window and prints the occupancy table, or CSV.
+func TestOccupancySmoke(t *testing.T) {
+	bin := build(t)
+	out, _ := clitest.Run(t, bin, "occupancy", "-warmup", "100", "-window", "300", "-j", "2")
+	if !strings.Contains(out, "queue full-of-usage occupancy") || !strings.Contains(out, "average") {
+		t.Fatalf("unexpected occupancy output:\n%s", out)
+	}
+	csv, _ := clitest.Run(t, bin, "occupancy", "-warmup", "100", "-window", "300", "-csv")
+	if !strings.HasPrefix(csv, "bench,l2_access_full") {
+		t.Fatalf("unexpected CSV header:\n%s", csv)
+	}
+}
+
+// TestDesignspaceSmoke: the §IV kind evaluates the paper's scaling
+// sets over its default suite on a tiny window and prints the speedup
+// table with one column per set.
+func TestDesignspaceSmoke(t *testing.T) {
+	out, _ := clitest.Run(t, build(t), "designspace", "-warmup", "100", "-window", "300", "-j", "2")
+	for _, want := range []string{"average", "L1+L2", "L2+DRAM", "cfd", "ss"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("designspace output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestDesignspaceTable: the text report opens with Table I, the design
+// space itself.
+func TestDesignspaceTable(t *testing.T) {
+	out, _ := clitest.Run(t, build(t), "designspace", "-workloads", "sc", "-warmup", "100", "-window", "300")
+	if !strings.HasPrefix(out, "Table I") || !strings.Contains(out, "scaled") {
+		t.Fatalf("unexpected Table I output:\n%s", out)
+	}
+}

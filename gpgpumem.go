@@ -8,23 +8,25 @@
 //	IISWC 2016.
 //
 // The baseline architecture models an NVIDIA GTX480 (Fermi) with the
-// queue/MSHR/bank/port parameters of the paper's Table I. Three
-// experiment harnesses regenerate the paper's artifacts:
+// queue/MSHR/bank/port parameters of the paper's Table I. RunSweep
+// regenerates the paper's artifacts by registered kind name
+// (SweepKindNames), the same registry cmd/sweep and the daemons serve:
 //
-//   - RunLatencyTolerance — Fig. 1, the latency-tolerance profile,
-//     plus the §II baseline-latency/crossover analysis;
-//   - RunQueueOccupancy — §III, queue full-of-usage occupancy;
-//   - RunDesignSpace — Table I / §IV, the ~4× design-space scaling.
+//   - "latency" — Fig. 1, the latency-tolerance profile, plus the §II
+//     baseline-latency/crossover analysis (LatencyReport);
+//   - "occupancy" — §III, queue full-of-usage occupancy
+//     (OccupancyReport);
+//   - "designspace" — Table I / §IV, the ~4× design-space scaling
+//     (DesignSpaceResult).
 //
-// RunSweep runs the characterization sweeps built on them — stall
-// attribution, scenario-vs-control, the what-if advisor and the
-// mitigation policies — by registered kind name (SweepKindNames), the
-// same registry cmd/sweep and the daemons serve.
+// The same registry holds the characterization sweeps built on them:
+// stall attribution, scenario-vs-control, the what-if advisor and the
+// mitigation policies.
 //
-// Each harness expresses its sweep as a batch of independent
-// simulations on a deterministic worker pool (RunParams.Parallelism;
-// MeasureBatch exposes the engine directly): reports are bit-identical
-// at any worker count, only faster.
+// Each sweep is a batch of independent simulations on a deterministic
+// worker pool (RunParams.Parallelism; MeasureBatch exposes the engine
+// directly): reports are bit-identical at any worker count, only
+// faster.
 //
 // Quick start:
 //
@@ -137,8 +139,8 @@ func Suite() []Workload { return workload.Suite() }
 func Scenarios() []WorkloadSpec { return workload.Scenarios() }
 
 // ParseWorkloadSpec decodes one JSON-encoded WorkloadSpec and fully
-// validates it (the -workload-file format of cmd/gpusim and
-// cmd/latsweep; see the README's "Defining your own workload").
+// validates it (the -workload-file format of cmd/gpusim and cmd/sweep;
+// see the README's "Defining your own workload").
 func ParseWorkloadSpec(data []byte) (WorkloadSpec, error) { return workload.ParseSpec(data) }
 
 // ParseWorkloadSpecs decodes a single JSON WorkloadSpec object or a
@@ -211,14 +213,13 @@ func (s *System) Measure(warmup, window int64) Results {
 }
 
 // RunParams sets warmup and measurement-window lengths for the
-// experiment harnesses, plus the worker count (Parallelism: 0 =
-// GOMAXPROCS, 1 = serial) and an optional Progress callback. Every
-// harness farms its sweep grid out to a bounded worker pool; because
-// each simulated GPU owns all of its state, reports are bit-identical
-// at any parallelism.
+// sweeps, plus the worker count (Parallelism: 0 = GOMAXPROCS, 1 =
+// serial). Every sweep farms its grid out to a bounded worker pool;
+// because each simulated GPU owns all of its state, reports are
+// bit-identical at any parallelism.
 type RunParams = exp.RunParams
 
-// DefaultRunParams returns the harnesses' default methodology.
+// DefaultRunParams returns the sweeps' default methodology.
 func DefaultRunParams() RunParams { return exp.DefaultRunParams() }
 
 // Job is one independent simulation for MeasureBatch: a configuration,
@@ -242,58 +243,23 @@ func RenderBatchReport(scale string, warmup, window int64, wls []Workload, res [
 	return exp.BatchReport(scale, warmup, window, wls, res)
 }
 
-// MeasureSuiteBaselines measures the unmodified base architecture
-// once per workload, as one batch on the worker pool — the shared
-// baseline runs that Fig. 1 normalization, §III occupancy, and §IV
-// speedups all start from.
-func MeasureSuiteBaselines(base Config, suite []Workload, p RunParams) ([]Results, error) {
-	return exp.Baselines(base, suite, p)
-}
-
 // LatencyCurve is one benchmark's Fig. 1 latency-tolerance profile.
 type LatencyCurve = exp.Fig1Curve
 
 // LatencyPoint is one x/y point of a latency-tolerance curve.
 type LatencyPoint = exp.LatencyPoint
 
-// LatencyReport is the complete Fig. 1 sweep over a suite.
+// LatencyReport is the complete Fig. 1 sweep over a suite (the
+// latency sweep kind's report).
 type LatencyReport = exp.Fig1Report
 
-// DefaultLatencies returns Fig. 1's x-axis (0..800 step 50).
-func DefaultLatencies() []int64 { return exp.DefaultLatencies() }
-
-// Fig1Commentary is the interpretive note cmd/latsweep appends after
-// the Fig. 1 report (one copy, shared with the golden-output tests).
-const Fig1Commentary = exp.Fig1Commentary
-
-// RunLatencyTolerance regenerates one Fig. 1 curve: it measures the
-// baseline, then sweeps the fixed L1 miss latency.
-func RunLatencyTolerance(base Config, wl Workload, latencies []int64, p RunParams) (LatencyCurve, error) {
-	return exp.RunFig1(base, wl, latencies, p)
-}
-
-// RunLatencyToleranceSuite regenerates all of Fig. 1.
-func RunLatencyToleranceSuite(base Config, suite []Workload, latencies []int64, p RunParams) (LatencyReport, error) {
-	return exp.RunFig1Suite(base, suite, latencies, p)
-}
-
-// OccupancyReport is the §III queue-congestion characterization.
+// OccupancyReport is the §III queue-congestion characterization (the
+// occupancy sweep kind's report).
 type OccupancyReport = exp.OccupancyReport
 
-// RunQueueOccupancy regenerates §III: the fraction of usage lifetime
-// each bounded queue spends full, per benchmark and averaged.
-func RunQueueOccupancy(base Config, suite []Workload, p RunParams) (OccupancyReport, error) {
-	return exp.RunOccupancy(base, suite, p)
-}
-
-// DesignSpaceResult is the §IV exploration outcome.
+// DesignSpaceResult is the §IV exploration outcome (the designspace
+// sweep kind's report).
 type DesignSpaceResult = exp.DesignSpaceResult
-
-// RunDesignSpace regenerates §IV: per-workload and average speedups
-// for each Table I scaling set.
-func RunDesignSpace(base Config, suite []Workload, sets []ScalingSet, p RunParams) (DesignSpaceResult, error) {
-	return exp.RunDesignSpace(base, suite, sets, p)
-}
 
 // StallCause is one category of the per-cycle issue-slot attribution:
 // each SM cycle is charged to exactly one cause (issue progress, a
@@ -408,8 +374,9 @@ func SweepKindNames() []string { return api.KindNames() }
 // RunSweep runs a registered sweep kind (SweepKindNames) locally on
 // the worker pool — the same executor behind cmd/sweep and the
 // daemons' /v1/sweep/{kind} — and returns its typed report:
-// BottleneckReport, ScenarioReport, AdviseReport, MitigationReport,
-// or the run kind's ordered per-workload envelopes. Nil specs means
+// LatencyReport, OccupancyReport, DesignSpaceResult, BottleneckReport,
+// ScenarioReport, AdviseReport, MitigationReport, or the run kind's
+// ordered per-workload envelopes. Nil specs means
 // the kind's default workload scope. json.Marshal of the report is
 // byte-identical to the daemons' report payload for the same request,
 // and the report is bit-identical at any parallelism.

@@ -97,19 +97,26 @@ func TestScalingAppliesThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// TestRunLatencyToleranceSmall runs Fig. 1 through the public
+// RunSweep entry point: one curve on the full latency axis, faster at
+// latency 0 than at 600.
 func TestRunLatencyToleranceSmall(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Core.NumSMs = 3
 	cfg.L2.Partitions = 2
-	wl, _ := WorkloadByName("sc")
-	curve, err := RunLatencyTolerance(cfg, wl, []int64{0, 600}, RunParams{WarmupCycles: 1000, WindowCycles: 3000})
+	sc, err := WorkloadSpecByName("sc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(curve.Points) != 2 {
+	rep, err := RunSweep("latency", cfg, []WorkloadSpec{sc}, RunParams{WarmupCycles: 1000, WindowCycles: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	curve := rep.(LatencyReport).Curves[0]
+	if len(curve.Points) != 17 || curve.Points[12].Latency != 600 {
 		t.Fatalf("points: %+v", curve.Points)
 	}
-	if curve.Points[0].Normalized < curve.Points[1].Normalized {
+	if curve.Points[0].Normalized < curve.Points[12].Normalized {
 		t.Fatalf("latency 0 should not be slower than 600: %+v", curve.Points)
 	}
 }

@@ -31,7 +31,7 @@ func testSpecs(t *testing.T, names ...string) []workload.Spec {
 // entry is fully populated, names resolve, and the unknown-kind error
 // lists exactly the registered names.
 func TestKindRegistry(t *testing.T) {
-	wantNames := []string{"bottleneck", "scenarios", "advise", "mitigation", "run"}
+	wantNames := []string{"latency", "occupancy", "designspace", "bottleneck", "scenarios", "advise", "mitigation", "run"}
 	names := KindNames()
 	if len(names) != len(wantNames) {
 		t.Fatalf("KindNames() = %v, want %v", names, wantNames)
@@ -74,11 +74,14 @@ func TestKindGrids(t *testing.T) {
 		specs []string
 		want  int
 	}{
-		"bottleneck": {[]string{"sc", "kmeans"}, 2},
-		"scenarios":  {[]string{"kmeans", "bfs"}, 4}, // scenario + flattened control each
-		"advise":     {[]string{"sc", "kmeans"}, 2 * stride},
-		"mitigation": {[]string{"sc", "kmeans"}, 2 * mitStride},
-		"run":        {[]string{"sc", "kmeans"}, 2},
+		"latency":     {[]string{"sc", "kmeans"}, 2 * (1 + len(exp.DefaultLatencies()))},
+		"occupancy":   {[]string{"sc", "kmeans"}, 2},
+		"designspace": {[]string{"sc", "kmeans"}, 2 * 6}, // baseline + the five paper sets
+		"bottleneck":  {[]string{"sc", "kmeans"}, 2},
+		"scenarios":   {[]string{"kmeans", "bfs"}, 4}, // scenario + flattened control each
+		"advise":      {[]string{"sc", "kmeans"}, 2 * stride},
+		"mitigation":  {[]string{"sc", "kmeans"}, 2 * mitStride},
+		"run":         {[]string{"sc", "kmeans"}, 2},
 	}
 	for name, tc := range cases {
 		k, err := KindByName(name)
@@ -99,6 +102,26 @@ func TestKindGrids(t *testing.T) {
 		if k.Defaults != nil && len(k.Defaults()) == 0 {
 			t.Errorf("%s: Defaults() returned an empty scope", name)
 		}
+	}
+
+	// The latency kind's first job per workload is the real-hierarchy
+	// baseline, then the axis in order; a config that is already
+	// fixed-latency has no baseline to normalize to.
+	k, err := KindByName("latency")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := k.Grid(cfg, testSpecs(t, "sc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grid[0].Config != cfg || grid[2].Config.FixedLatency != (config.FixedLatencyConfig{Enabled: true, Cycles: 50}) {
+		t.Errorf("latency grid layout: %+v, %+v", grid[0].Config.FixedLatency, grid[2].Config.FixedLatency)
+	}
+	fixed := cfg
+	fixed.FixedLatency = config.FixedLatencyConfig{Enabled: true, Cycles: 100}
+	if _, err := k.Grid(fixed, testSpecs(t, "sc")); err == nil || !strings.Contains(err.Error(), "real memory hierarchy") {
+		t.Errorf("latency grid on a fixed-latency config: %v", err)
 	}
 }
 

@@ -14,13 +14,12 @@ import (
 )
 
 // Job is one grid entry of a sweep: the exact (config, spec) pair to
-// measure. Most kinds measure every spec on the request's resolved
-// config; the advise kind perturbs the architecture per job, which is
-// why the grid carries configs rather than assuming one.
-type Job struct {
-	Config config.Config
-	Spec   workload.Spec
-}
+// measure. Some kinds measure every spec on the request's resolved
+// config; others (advise, mitigation, latency, designspace) vary the
+// architecture per job, which is why the grid carries configs rather
+// than assuming one. It is the exp grid halves' own type, so their
+// grids need no conversion.
+type Job = exp.GridJob
 
 // GridResult is one grid entry's measurement, however it was obtained
 // — computed locally, served from a cache, or collected from a fleet
@@ -164,6 +163,40 @@ func specJobs(cfg config.Config, specs []workload.Spec) ([]Job, error) {
 func kinds() []Kind {
 	return []Kind{
 		{
+			Name:         "latency",
+			ResponseKind: "sweep-latency",
+			Description:  "Fig. 1 + §II: IPC vs fixed L1-miss latency 0..800, normalized to the baseline (exp.Fig1Report)",
+			Defaults:     suiteNames,
+			Grid: func(cfg config.Config, specs []workload.Spec) ([]Job, error) {
+				return exp.Fig1Grid(cfg, specs, exp.DefaultLatencies())
+			},
+			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
+				return exp.BuildFig1Report(specs, exp.DefaultLatencies(), decoded(res))
+			},
+		},
+		{
+			Name:         "occupancy",
+			ResponseKind: "sweep-occupancy",
+			Description:  "§III: share of usage lifetime the L2 access / DRAM scheduler queues are full (exp.OccupancyReport)",
+			Defaults:     suiteNames,
+			Grid:         specJobs,
+			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
+				return exp.BuildOccupancyReport(specs, decoded(res)), nil
+			},
+		},
+		{
+			Name:         "designspace",
+			ResponseKind: "sweep-designspace",
+			Description:  "Table I / §IV: speedup of the five paper scaling sets over the baseline (exp.DesignSpaceResult)",
+			Defaults:     suiteNames,
+			Grid: func(cfg config.Config, specs []workload.Spec) ([]Job, error) {
+				return exp.DesignSpaceGrid(cfg, specs, paperSets())
+			},
+			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
+				return exp.BuildDesignSpaceReport(specs, paperSets(), decoded(res))
+			},
+		},
+		{
 			Name:         "bottleneck",
 			ResponseKind: "sweep-bottleneck",
 			Description:  "per-workload stall-cycle attribution (exp.BottleneckReport)",
@@ -202,17 +235,7 @@ func kinds() []Kind {
 			ResponseKind: "sweep-advise",
 			Description:  "what-if advisor: interventions ranked by IPC recovered per unit cost (exp.AdviseReport)",
 			Defaults:     suiteAndScenarioNames,
-			Grid: func(cfg config.Config, specs []workload.Spec) ([]Job, error) {
-				ajs, err := exp.AdviseGrid(cfg, specs)
-				if err != nil {
-					return nil, err
-				}
-				grid := make([]Job, len(ajs))
-				for i, aj := range ajs {
-					grid[i] = Job{Config: aj.Config, Spec: aj.Spec}
-				}
-				return grid, nil
-			},
+			Grid:         exp.AdviseGrid,
 			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
 				return exp.BuildAdviseReport(specs, p, decoded(res))
 			},
@@ -222,17 +245,7 @@ func kinds() []Kind {
 			ResponseKind: "sweep-mitigation",
 			Description:  "mitigation policies: scenario × policy grid of the internal/policy seams (exp.MitigationReport)",
 			Defaults:     scenarioNames,
-			Grid: func(cfg config.Config, specs []workload.Spec) ([]Job, error) {
-				mjs, err := exp.MitigationGrid(cfg, specs)
-				if err != nil {
-					return nil, err
-				}
-				grid := make([]Job, len(mjs))
-				for i, mj := range mjs {
-					grid[i] = Job{Config: mj.Config, Spec: mj.Spec}
-				}
-				return grid, nil
-			},
+			Grid:         exp.MitigationGrid,
 			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
 				return exp.BuildMitigationReport(specs, p, decoded(res))
 			},
@@ -283,6 +296,24 @@ func KindByName(name string) (Kind, error) {
 		}
 	}
 	return Kind{}, fmt.Errorf("unknown sweep kind %q (want %s)", name, strings.Join(KindNames(), ", "))
+}
+
+// suiteNames is the paper's Fig. 1 benchmark suite, the default scope
+// of the paper-artifact kinds (latency, occupancy, designspace).
+func suiteNames() []string {
+	suite := workload.Suite()
+	names := make([]string, len(suite))
+	for i, wl := range suite {
+		names[i] = wl.Name()
+	}
+	return names
+}
+
+// paperSets is the designspace kind's axis: the five Table I scaling
+// sets §IV evaluates, in presentation order (the baseline is each
+// workload's implicit first job).
+func paperSets() []config.ScalingSet {
+	return append([]config.ScalingSet(nil), config.AllScalingSets[1:]...)
 }
 
 // suiteAndScenarioNames is the suite-plus-scenarios default scope

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -123,6 +124,33 @@ func TestScalingSetString(t *testing.T) {
 	}
 	if !strings.Contains(ScalingSet(42).String(), "42") {
 		t.Errorf("unknown set string: %q", ScalingSet(42).String())
+	}
+}
+
+// TestScalingSetTextRoundTrip: every set marshals to the name
+// ParseScalingSet accepts, a JSON document carries names rather than
+// numbers, and an unknown set refuses to encode.
+func TestScalingSetTextRoundTrip(t *testing.T) {
+	all := append(append([]ScalingSet(nil), AllScalingSets...), ScaleAll)
+	for _, s := range all {
+		text, err := s.MarshalText()
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		got, err := ParseScalingSet(string(text))
+		if err != nil || got != s {
+			t.Errorf("%v marshals to %q, which parses as %v, %v", s, text, got, err)
+		}
+	}
+	data, err := json.Marshal(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `["baseline","l1","l2","dram","l1l2","l2dram","all"]`; string(data) != want {
+		t.Errorf("JSON sets = %s, want %s", data, want)
+	}
+	if _, err := ScalingSet(42).MarshalText(); err == nil {
+		t.Error("unknown set marshaled")
 	}
 }
 

@@ -75,6 +75,24 @@ func ParseScalingSet(s string) (ScalingSet, error) {
 	}
 }
 
+// scalingSetNames is each set's canonical lowercase name, the form
+// ParseScalingSet accepts and MarshalText emits.
+var scalingSetNames = map[ScalingSet]string{
+	ScaleNone: "baseline", ScaleL1: "l1", ScaleL2: "l2", ScaleDRAM: "dram",
+	ScaleL1L2: "l1l2", ScaleL2DRAM: "l2dram", ScaleAll: "all",
+}
+
+// MarshalText encodes the set as its lowercase ParseScalingSet name,
+// so a JSON report names its sets ("l2dram") instead of numbering
+// them.
+func (s ScalingSet) MarshalText() ([]byte, error) {
+	name, ok := scalingSetNames[s]
+	if !ok {
+		return nil, fmt.Errorf("config: unknown scaling set %d", int(s))
+	}
+	return []byte(name), nil
+}
+
 // Apply returns a copy of base with the scaling set's Table I
 // transforms applied. The baseline is not modified.
 func (s ScalingSet) Apply(base Config) Config {

@@ -140,30 +140,22 @@ func Coalesced(sp workload.Spec) workload.Spec {
 	return out
 }
 
-// AdviseJob is one grid entry of the advisor sweep: the exact
-// (config, spec) pair to measure. Unlike the other sweeps, advise
-// varies the architecture per job, so the grid carries configs.
-type AdviseJob struct {
-	Config config.Config
-	Spec   workload.Spec
-}
-
 // AdviseGrid validates the workloads and expands them into the
 // advisor's measurement grid: for each spec, the baseline measurement
 // followed by one job per Perturbations() entry, in that order. The
 // layout is part of the sweep's byte-identity contract —
 // BuildAdviseReport reads results in exactly this stride.
-func AdviseGrid(base config.Config, specs []workload.Spec) ([]AdviseJob, error) {
+func AdviseGrid(base config.Config, specs []workload.Spec) ([]GridJob, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("exp: advise needs at least one workload")
 	}
 	perts := Perturbations()
-	grid := make([]AdviseJob, 0, len(specs)*(1+len(perts)))
+	grid := make([]GridJob, 0, len(specs)*(1+len(perts)))
 	for _, sp := range specs {
 		if err := sp.Validate(); err != nil {
 			return nil, err
 		}
-		grid = append(grid, AdviseJob{Config: base, Spec: sp})
+		grid = append(grid, GridJob{Config: base, Spec: sp})
 		for _, pt := range perts {
 			cfg, psp := pt.Apply(base, sp)
 			if err := cfg.Validate(); err != nil {
@@ -172,7 +164,7 @@ func AdviseGrid(base config.Config, specs []workload.Spec) ([]AdviseJob, error) 
 			if err := psp.Validate(); err != nil {
 				return nil, fmt.Errorf("exp: advise perturbation %s: %w", pt.Name, err)
 			}
-			grid = append(grid, AdviseJob{Config: cfg, Spec: psp})
+			grid = append(grid, GridJob{Config: cfg, Spec: psp})
 		}
 	}
 	return grid, nil

@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/runner"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -25,36 +25,48 @@ type DesignSpaceResult struct {
 	MeanSpeedup []float64
 }
 
-// RunDesignSpace evaluates each Table I scaling set over the suite.
-// ScaleNone must not be included in sets (the baseline is implicit).
-// The exploration is one batch on the experiment engine: per
-// workload, a single baseline measurement (shared by every set's
-// speedup) followed by one job per scaling set.
-func RunDesignSpace(base config.Config, suite []workload.Workload, sets []config.ScalingSet, p RunParams) (DesignSpaceResult, error) {
+// DesignSpaceGrid expands the §IV measurement grid: per workload, one
+// baseline measurement on base (shared by every set's speedup)
+// followed by one job per scaling set, in that order. ScaleNone must
+// not be among sets (the baseline is implicit). The layout is part of
+// the sweep's byte-identity contract — BuildDesignSpaceReport reads
+// results in exactly this stride.
+func DesignSpaceGrid(base config.Config, specs []workload.Spec, sets []config.ScalingSet) ([]GridJob, error) {
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("exp: the design-space sweep needs at least one workload")
+	}
 	// The scaled configurations are the same for every workload;
-	// derive them once instead of len(suite) times.
+	// derive them once instead of len(specs) times.
 	scaled := make([]config.Config, len(sets))
 	for si, set := range sets {
 		scaled[si] = set.Apply(base)
 	}
-	stride := 1 + len(sets)
-	jobs := make([]runner.Job, 0, len(suite)*stride)
-	for _, wl := range suite {
-		jobs = append(jobs, job(base, wl, p))
-		for si := range sets {
-			jobs = append(jobs, job(scaled[si], wl, p))
+	grid := make([]GridJob, 0, len(specs)*(1+len(sets)))
+	for _, sp := range specs {
+		grid = append(grid, GridJob{Config: base, Spec: sp})
+		for _, cfg := range scaled {
+			grid = append(grid, GridJob{Config: cfg, Spec: sp})
 		}
 	}
-	measured, err := run(jobs, p)
-	if err != nil {
-		return DesignSpaceResult{}, err
-	}
+	return grid, nil
+}
 
+// BuildDesignSpaceReport assembles the §IV result from
+// DesignSpaceGrid's ordered results. It is the designspace sweep
+// kind's pure merge half, the same function whether the results were
+// computed locally or collected from a fleet, so the two reports are
+// byte-identical.
+func BuildDesignSpaceReport(specs []workload.Spec, sets []config.ScalingSet, measured []sim.Results) (DesignSpaceResult, error) {
+	stride := 1 + len(sets)
+	if len(measured) != len(specs)*stride {
+		return DesignSpaceResult{}, fmt.Errorf("exp: designspace merge: %d results for %d workloads (want %d)",
+			len(measured), len(specs), len(specs)*stride)
+	}
 	res := DesignSpaceResult{Sets: sets}
-	per := make([][]float64, len(suite))
-	for wi, wl := range suite {
+	per := make([][]float64, len(specs))
+	for wi, sp := range specs {
 		baseRes := measured[wi*stride]
-		res.Workloads = append(res.Workloads, wl.Name())
+		res.Workloads = append(res.Workloads, sp.SpecName)
 		res.BaselineIPC = append(res.BaselineIPC, baseRes.IPC)
 		per[wi] = make([]float64, len(sets))
 		for si := range sets {
@@ -67,8 +79,8 @@ func RunDesignSpace(base config.Config, suite []workload.Workload, sets []config
 	res.Speedup = per
 	res.MeanSpeedup = make([]float64, len(sets))
 	for si := range sets {
-		col := make([]float64, len(suite))
-		for wi := range suite {
+		col := make([]float64, len(specs))
+		for wi := range specs {
 			col[wi] = per[wi][si]
 		}
 		res.MeanSpeedup[si] = stats.Mean(col)
@@ -87,11 +99,24 @@ func (r DesignSpaceResult) SpeedupFor(set config.ScalingSet) float64 {
 	return 0
 }
 
-// String renders the §IV table: one row per workload, one column per
-// scaling set, plus the average row the paper quotes.
+// String renders Table I (the design space itself, from the live
+// config code) followed by the §IV table: one row per workload, one
+// column per scaling set, plus the average row the paper quotes.
 func (r DesignSpaceResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "§IV — speedup over baseline when scaling Table I groups ~4×\n\n")
+	fmt.Fprintf(&b, "Table I — consolidated design space to mitigate congestion\n\n")
+	fmt.Fprintf(&b, "%-10s %-22s %-4s %-20s %s\n", "group", "parameter", "type", "baseline", "scaled (~4x)")
+	group := ""
+	for _, row := range config.TableI() {
+		g := row.Group
+		if g == group {
+			g = ""
+		} else {
+			group = g
+		}
+		fmt.Fprintf(&b, "%-10s %-22s %-4s %-20s %s\n", g, row.Parameter, row.Type, row.Baseline, row.Scaled)
+	}
+	fmt.Fprintf(&b, "\n§IV — speedup over baseline when scaling Table I groups ~4×\n\n")
 	fmt.Fprintf(&b, "%-10s %9s", "bench", "base-IPC")
 	for _, s := range r.Sets {
 		fmt.Fprintf(&b, " %9s", s)

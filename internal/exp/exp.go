@@ -1,18 +1,22 @@
-// Package exp contains the harnesses that regenerate every figure and
-// table of the paper: the Fig. 1 latency-tolerance sweep (with the §II
-// crossover analysis), the §III queue-occupancy characterization, and
-// the Table I / §IV design-space exploration.
+// Package exp contains the sweeps that regenerate every figure and
+// table of the paper — the Fig. 1 latency-tolerance sweep (with the
+// §II crossover analysis), the §III queue-occupancy characterization,
+// and the Table I / §IV design-space exploration — plus the
+// characterization sweeps built on the same simulator (stall
+// attribution, scenarios, the what-if advisor, mitigation policies).
 //
-// Each artifact is a grid of fully independent simulations, so every
-// harness expresses its sweep as one job batch on the internal/runner
-// worker pool. RunParams.Parallelism picks the worker count; because
-// each sim.GPU instance owns all of its state (including the seeded
-// RNG behind the workload address streams), a report is bit-identical
-// at any parallelism.
+// Each sweep is a grid of fully independent simulations, split into a
+// pure pair: a *Grid half that expands the workloads into ordered
+// (config, spec) jobs, and a Build*Report half that merges the
+// ordered results into the report. The internal/api registry wraps
+// each pair as a sweep kind and executes it on the internal/runner
+// worker pool; because each sim.GPU instance owns all of its state
+// (including the seeded RNG behind the workload address streams), a
+// report is bit-identical at any parallelism and however its grid
+// was distributed.
 package exp
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/config"
@@ -21,20 +25,15 @@ import (
 	"repro/internal/workload"
 )
 
-// RunParams sets the measurement methodology shared by all harnesses:
+// RunParams sets the measurement methodology shared by all sweeps:
 // warm up the caches and queues, reset statistics, then measure a
 // fixed window (steady-state IPC, like GPGPU-Sim's periodic stats).
 type RunParams struct {
 	WarmupCycles int64
 	WindowCycles int64
-	// Parallelism is the worker count the harnesses hand to the
-	// experiment engine. 0 means runtime.GOMAXPROCS(0); 1 reproduces
-	// the historical serial path.
+	// Parallelism is the worker count a sweep's grid runs on. 0 means
+	// runtime.GOMAXPROCS(0); 1 is fully serial.
 	Parallelism int
-	// Progress, when non-nil, is called after each simulation of a
-	// harness's batch completes, with the finished-job count and the
-	// batch size. Calls are serialized.
-	Progress func(done, total int)
 }
 
 // DefaultRunParams balances fidelity and runtime; the CLIs expose
@@ -43,36 +42,13 @@ func DefaultRunParams() RunParams {
 	return RunParams{WarmupCycles: 6000, WindowCycles: 20000}
 }
 
-// job binds a (config, workload) pair to p's methodology.
-func job(cfg config.Config, wl workload.Workload, p RunParams) runner.Job {
-	return runner.Job{
-		Config: cfg, Workload: wl,
-		WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles,
-	}
-}
-
-// run executes a harness's batch on the experiment engine.
-func run(jobs []runner.Job, p RunParams) ([]sim.Results, error) {
-	res, err := runner.Run(context.Background(), jobs, runner.Options{
-		Parallelism: p.Parallelism,
-		Progress:    p.Progress,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("exp: %w", err)
-	}
-	return res, nil
-}
-
-// Baselines measures the unmodified base architecture once per
-// workload, as one batch. RunOccupancy's measurement *is* this batch,
-// and it is the shared definition of the baseline runs RunFig1Suite
-// and RunDesignSpace fold into their sweeps.
-func Baselines(base config.Config, suite []workload.Workload, p RunParams) ([]sim.Results, error) {
-	jobs := make([]runner.Job, len(suite))
-	for i, wl := range suite {
-		jobs[i] = job(base, wl, p)
-	}
-	return run(jobs, p)
+// GridJob is one entry of a sweep's measurement grid: the exact
+// (config, spec) pair to measure. Most grids vary the architecture
+// per job (a perturbation, a mitigation policy, a fixed L1-miss
+// latency, a Table I scaling set), so the grid carries configs.
+type GridJob struct {
+	Config config.Config
+	Spec   workload.Spec
 }
 
 // Measure builds a GPU for (cfg, wl), runs warmup+window, and returns
@@ -80,7 +56,10 @@ func Baselines(base config.Config, suite []workload.Workload, p RunParams) ([]si
 // worker pool executes exactly this per job, so a batch at any
 // parallelism is bit-identical to calling Measure in a loop.
 func Measure(cfg config.Config, wl workload.Workload, p RunParams) (sim.Results, error) {
-	r, err := runner.Execute(job(cfg, wl, p))
+	r, err := runner.Execute(runner.Job{
+		Config: cfg, Workload: wl,
+		WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles,
+	})
 	if err != nil {
 		return sim.Results{}, fmt.Errorf("exp: %w", err)
 	}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -45,35 +44,6 @@ func TestMeasureRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestFig1CurveShape(t *testing.T) {
-	lats := []int64{0, 200, 600, 1200}
-	c, err := RunFig1(smallConfig(), congested(), lats, fastParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Points) != 4 {
-		t.Fatalf("points = %d", len(c.Points))
-	}
-	// Monotone non-increasing normalized IPC.
-	for i := 1; i < len(c.Points); i++ {
-		if c.Points[i].Normalized > c.Points[i-1].Normalized*1.02 {
-			t.Fatalf("curve not decreasing: %+v", c.Points)
-		}
-	}
-	if c.PlateauSpeedup <= 1 {
-		t.Fatalf("congested workload should speed up at 0 latency: %v", c.PlateauSpeedup)
-	}
-	// The crossover should land near the measured baseline latency.
-	if c.CrossoverLatency <= 0 {
-		t.Fatalf("no crossover found")
-	}
-	ratio := c.CrossoverLatency / c.BaselineAvgMissLatency
-	if ratio < 0.4 || ratio > 2.5 {
-		t.Fatalf("crossover %v inconsistent with baseline latency %v",
-			c.CrossoverLatency, c.BaselineAvgMissLatency)
-	}
-}
-
 func TestCrossoverInterpolation(t *testing.T) {
 	pts := []LatencyPoint{
 		{Latency: 0, Normalized: 3},
@@ -106,62 +76,5 @@ func TestDefaultLatenciesMatchFigure(t *testing.T) {
 	lats := DefaultLatencies()
 	if len(lats) != 17 || lats[0] != 0 || lats[16] != 800 || lats[1] != 50 {
 		t.Fatalf("x-axis wrong: %v", lats)
-	}
-}
-
-func TestOccupancyReport(t *testing.T) {
-	suite := []workload.Workload{congested()}
-	rep, err := RunOccupancy(smallConfig(), suite, fastParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 1 {
-		t.Fatalf("rows = %d", len(rep.Rows))
-	}
-	row := rep.Rows[0]
-	if row.L2AccessFull < 0 || row.L2AccessFull > 1 || row.DRAMSchedFull < 0 || row.DRAMSchedFull > 1 {
-		t.Fatalf("occupancies out of range: %+v", row)
-	}
-	if rep.MeanL2AccessFull != row.L2AccessFull {
-		t.Fatalf("mean != single row")
-	}
-	if !strings.Contains(rep.String(), "hammer") {
-		t.Fatalf("report missing workload name")
-	}
-}
-
-func TestDesignSpaceSpeedups(t *testing.T) {
-	suite := []workload.Workload{congested()}
-	sets := []config.ScalingSet{config.ScaleL2}
-	res, err := RunDesignSpace(smallConfig(), suite, sets, fastParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Speedup) != 1 || len(res.Speedup[0]) != 1 {
-		t.Fatalf("shape wrong: %+v", res.Speedup)
-	}
-	sp := res.SpeedupFor(config.ScaleL2)
-	if sp <= 1.1 {
-		t.Fatalf("L2 scaling speedup = %v for a hierarchy-bound workload", sp)
-	}
-	if res.SpeedupFor(config.ScaleDRAM) != 0 {
-		t.Fatalf("unevaluated set should report 0")
-	}
-	if !strings.Contains(res.String(), "hammer") {
-		t.Fatalf("report missing workload")
-	}
-}
-
-func TestFig1SuiteAndReportRendering(t *testing.T) {
-	suite := []workload.Workload{congested()}
-	rep, err := RunFig1Suite(smallConfig(), suite, []int64{0, 400}, fastParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := rep.String()
-	for _, frag := range []string{"latency", "hammer", "crossover"} {
-		if !strings.Contains(out, frag) {
-			t.Fatalf("report missing %q:\n%s", frag, out)
-		}
 	}
 }

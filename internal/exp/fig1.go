@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -48,22 +47,12 @@ func DefaultLatencies() []int64 {
 	return xs
 }
 
-// RunFig1 sweeps the fixed L1 miss latency for one workload and
-// returns its latency-tolerance curve (one line of Fig. 1).
-func RunFig1(base config.Config, wl workload.Workload, latencies []int64, p RunParams) (Fig1Curve, error) {
-	rep, err := RunFig1Suite(base, []workload.Workload{wl}, latencies, p)
-	if err != nil {
-		return Fig1Curve{}, err
-	}
-	return rep.Curves[0], nil
-}
-
 // fig1Curve assembles one workload's curve from its ordered slice of
 // measurements: the baseline first, then one result per latency.
-func fig1Curve(wl workload.Workload, latencies []int64, res []sim.Results) Fig1Curve {
+func fig1Curve(name string, latencies []int64, res []sim.Results) Fig1Curve {
 	baseRes := res[0]
 	c := Fig1Curve{
-		Workload:               wl.Name(),
+		Workload:               name,
 		BaselineIPC:            baseRes.IPC,
 		BaselineAvgMissLatency: baseRes.AvgMissLatency,
 	}
@@ -109,42 +98,59 @@ func crossover(pts []LatencyPoint) float64 {
 	return float64(pts[len(pts)-1].Latency)
 }
 
-// Fig1Report runs the full Fig. 1 sweep over a suite.
+// Fig1Report is the Fig. 1 sweep over a suite: one latency-tolerance
+// curve per workload, all on the same latency axis.
 type Fig1Report struct {
 	Latencies []int64
 	Curves    []Fig1Curve
 }
 
-// RunFig1Suite regenerates all of Fig. 1. The whole grid — per
-// workload, one baseline measurement plus one sweep point per latency
-// — is submitted as a single batch to the experiment engine, so every
-// simulation (baselines included, measured exactly once per workload)
-// is available to the worker pool at once.
-func RunFig1Suite(base config.Config, suite []workload.Workload, latencies []int64, p RunParams) (Fig1Report, error) {
-	stride := 1 + len(latencies)
-	jobs := make([]runner.Job, 0, len(suite)*stride)
-	for _, wl := range suite {
-		jobs = append(jobs, job(base, wl, p))
+// Fig1Grid expands Fig. 1's measurement grid: per workload, one
+// baseline measurement on base (the real hierarchy every point
+// normalizes to) followed by one fixed-latency job per latency, in
+// that order. The layout is part of the sweep's byte-identity
+// contract — BuildFig1Report reads results in exactly this stride.
+// A base that is already fixed-latency is rejected: it has no real
+// hierarchy to normalize to.
+func Fig1Grid(base config.Config, specs []workload.Spec, latencies []int64) ([]GridJob, error) {
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("exp: the latency sweep needs at least one workload")
+	}
+	if base.FixedLatency.Enabled {
+		return nil, fmt.Errorf("exp: the latency sweep's baseline must be the real memory hierarchy, not a fixed-latency config")
+	}
+	grid := make([]GridJob, 0, len(specs)*(1+len(latencies)))
+	for _, sp := range specs {
+		grid = append(grid, GridJob{Config: base, Spec: sp})
 		for _, lat := range latencies {
 			cfg := base
 			cfg.FixedLatency = config.FixedLatencyConfig{Enabled: true, Cycles: lat}
-			jobs = append(jobs, job(cfg, wl, p))
+			grid = append(grid, GridJob{Config: cfg, Spec: sp})
 		}
 	}
-	res, err := run(jobs, p)
-	if err != nil {
-		return Fig1Report{}, err
+	return grid, nil
+}
+
+// BuildFig1Report assembles the Fig. 1 report from Fig1Grid's ordered
+// results. It is the latency sweep kind's pure merge half, the same
+// function whether the results were computed locally or collected
+// from a fleet, so the two reports are byte-identical.
+func BuildFig1Report(specs []workload.Spec, latencies []int64, res []sim.Results) (Fig1Report, error) {
+	stride := 1 + len(latencies)
+	if len(res) != len(specs)*stride {
+		return Fig1Report{}, fmt.Errorf("exp: latency merge: %d results for %d workloads (want %d)",
+			len(res), len(specs), len(specs)*stride)
 	}
-	rep := Fig1Report{Latencies: latencies}
-	for wi, wl := range suite {
-		rep.Curves = append(rep.Curves, fig1Curve(wl, latencies, res[wi*stride:(wi+1)*stride]))
+	rep := Fig1Report{Latencies: latencies, Curves: make([]Fig1Curve, len(specs))}
+	for i, sp := range specs {
+		rep.Curves[i] = fig1Curve(sp.SpecName, latencies, res[i*stride:(i+1)*stride])
 	}
 	return rep, nil
 }
 
 // String renders the report as a table: one row per latency, one
 // column per benchmark (the data behind Fig. 1), followed by the §II
-// crossover summary.
+// crossover summary and the paper's reference values.
 func (r Fig1Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 1 — IPC normalized to baseline vs fixed L1 miss latency\n\n")
@@ -166,5 +172,7 @@ func (r Fig1Report) String() string {
 		fmt.Fprintf(&b, "%-10s %12.3f %12.0f %10.0f\n",
 			c.Workload, c.BaselineIPC, c.BaselineAvgMissLatency, c.CrossoverLatency)
 	}
+	b.WriteString("\n(paper Fig. 1: plateaus between ~1.2× and ~6×, sc highest;\n" +
+		" §II: crossovers far above the 120-cycle ideal L2 latency)\n")
 	return b.String()
 }

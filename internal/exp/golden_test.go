@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,94 +16,45 @@ import (
 // skipping, buffer reuse — none of which may change a single digit).
 // CI additionally regenerates them with the real binaries and
 // git-diffs; these tests enforce the same bytes at the library level,
-// at serial and parallel worker counts.
+// at serial and parallel worker counts. The sweep-kind goldens are
+// pinned through api.Run in sweep_test.go.
 
-// goldenParams is the pinned methodology of the golden runs:
-// gpusim -workload sc,cfd -warmup 2000 -window 5000 -seed 1.
-func goldenParams(parallelism int) RunParams {
-	return RunParams{WarmupCycles: 2000, WindowCycles: 5000, Parallelism: parallelism}
-}
-
-func goldenSuite(t *testing.T) []workload.Workload {
+// checkGpusimGolden measures each named workload on the baseline with
+// the pinned methodology (gpusim -warmup 2000 -window 5000 -seed 1)
+// and compares cmd/gpusim's report against testdata/<golden>.
+func checkGpusimGolden(t *testing.T, golden string, names ...string) {
 	t.Helper()
-	suite := make([]workload.Workload, 0, 2)
-	for _, name := range []string{"sc", "cfd"} {
-		wl, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		suite = append(suite, wl)
-	}
-	return suite
-}
-
-func readGolden(t *testing.T, name string) string {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", name))
+	data, err := os.ReadFile(filepath.Join("testdata", golden))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(data)
-}
-
-func TestGoldenGpusimReport(t *testing.T) {
-	want := readGolden(t, "gpusim-sc-cfd.golden")
-	suite := goldenSuite(t)
-	cfg := config.GTX480Baseline()
-	for _, j := range []int{1, 4} {
-		p := goldenParams(j)
-		jobs := make([]runner.Job, len(suite))
-		for i, wl := range suite {
-			jobs[i] = job(cfg, wl, p)
+	want := string(data)
+	wls := make([]workload.Workload, len(names))
+	jobs := make([]runner.Job, len(names))
+	for i, n := range names {
+		if wls[i], err = workload.ByName(n); err != nil {
+			t.Fatal(err)
 		}
-		res, err := run(jobs, p)
+		jobs[i] = runner.Job{Config: config.GTX480Baseline(), Workload: wls[i], WarmupCycles: 2000, WindowCycles: 5000}
+	}
+	for _, j := range []int{1, 4} {
+		res, err := runner.Run(context.Background(), jobs, runner.Options{Parallelism: j})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := BatchReport("baseline", p.WarmupCycles, p.WindowCycles, suite, res)
-		if got != want {
-			t.Errorf("j=%d: gpusim report drifted from golden:\n got:\n%s\nwant:\n%s", j, got, want)
+		if got := BatchReport("baseline", 2000, 5000, wls, res); got != want {
+			t.Errorf("j=%d: gpusim report drifted from %s:\n got:\n%s\nwant:\n%s", j, golden, got, want)
 		}
 	}
+}
+
+func TestGoldenGpusimReport(t *testing.T) {
+	checkGpusimGolden(t, "gpusim-sc-cfd.golden", "sc", "cfd")
 }
 
 // TestGoldenGpusimKmeansReport pins one multi-phase scenario the same
 // way the single-phase suite is pinned: the kmeans report must stay
 // byte-identical at serial and parallel worker counts.
 func TestGoldenGpusimKmeansReport(t *testing.T) {
-	want := readGolden(t, "gpusim-kmeans.golden")
-	wl, err := workload.ByName("kmeans")
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite := []workload.Workload{wl}
-	cfg := config.GTX480Baseline()
-	for _, j := range []int{1, 4} {
-		p := goldenParams(j)
-		res, err := run([]runner.Job{job(cfg, wl, p)}, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := BatchReport("baseline", p.WarmupCycles, p.WindowCycles, suite, res)
-		if got != want {
-			t.Errorf("j=%d: kmeans report drifted from golden:\n got:\n%s\nwant:\n%s", j, got, want)
-		}
-	}
-}
-
-func TestGoldenLatsweepReport(t *testing.T) {
-	want := readGolden(t, "latsweep-sc-cfd.golden")
-	suite := goldenSuite(t)
-	cfg := config.GTX480Baseline()
-	for _, j := range []int{1, 3} {
-		rep, err := RunFig1Suite(cfg, suite, []int64{0, 200, 400}, goldenParams(j))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The golden file holds the full CLI output: report plus the
-		// commentary the binary appends.
-		if got := rep.String() + Fig1Commentary; got != want {
-			t.Errorf("j=%d: latsweep report drifted from golden:\n got:\n%s\nwant:\n%s", j, got, want)
-		}
-	}
+	checkGpusimGolden(t, "gpusim-kmeans.golden", "kmeans")
 }

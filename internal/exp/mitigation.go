@@ -72,23 +72,23 @@ func Mitigations() []Mitigation {
 // followed by one job per Mitigations() entry, in that order. The
 // layout is part of the sweep's byte-identity contract —
 // BuildMitigationReport reads results in exactly this stride.
-func MitigationGrid(base config.Config, specs []workload.Spec) ([]AdviseJob, error) {
+func MitigationGrid(base config.Config, specs []workload.Spec) ([]GridJob, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("exp: mitigation needs at least one workload")
 	}
 	mits := Mitigations()
-	grid := make([]AdviseJob, 0, len(specs)*(1+len(mits)))
+	grid := make([]GridJob, 0, len(specs)*(1+len(mits)))
 	for _, sp := range specs {
 		if err := sp.Validate(); err != nil {
 			return nil, err
 		}
-		grid = append(grid, AdviseJob{Config: base, Spec: sp})
+		grid = append(grid, GridJob{Config: base, Spec: sp})
 		for _, m := range mits {
 			cfg := m.Apply(base)
 			if err := cfg.Validate(); err != nil {
 				return nil, fmt.Errorf("exp: mitigation %s: %w", m.Name, err)
 			}
-			grid = append(grid, AdviseJob{Config: cfg, Spec: sp})
+			grid = append(grid, GridJob{Config: cfg, Spec: sp})
 		}
 	}
 	return grid, nil

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/config"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -33,20 +33,18 @@ type OccupancyReport struct {
 	MeanDRAMSchedFull float64
 }
 
-// RunOccupancy measures §III queue occupancy for every workload on
-// the baseline architecture. The measurements are exactly the
-// Baselines batch, run at p.Parallelism.
-func RunOccupancy(base config.Config, suite []workload.Workload, p RunParams) (OccupancyReport, error) {
-	res, err := Baselines(base, suite, p)
-	if err != nil {
-		return OccupancyReport{}, err
-	}
+// BuildOccupancyReport assembles the §III report from one baseline
+// measurement per workload, res[i] belonging to specs[i]. It is the
+// occupancy sweep kind's pure merge half; its grid is the
+// one-job-per-spec grid, so every measurement shares its cache entry
+// with the run and bottleneck kinds.
+func BuildOccupancyReport(specs []workload.Spec, res []sim.Results) OccupancyReport {
 	var rep OccupancyReport
 	var l2s, drams []float64
-	for wi, wl := range suite {
-		r := res[wi]
+	for i, sp := range specs {
+		r := res[i]
 		row := OccupancyRow{
-			Workload:         wl.Name(),
+			Workload:         sp.SpecName,
 			L2AccessFull:     r.L2AccessQueue.FullOfUsage,
 			DRAMSchedFull:    r.DRAMSchedQueue.FullOfUsage,
 			L2AccessMeanOcc:  r.L2AccessQueue.MeanOccupancy,
@@ -59,7 +57,7 @@ func RunOccupancy(base config.Config, suite []workload.Workload, p RunParams) (O
 	}
 	rep.MeanL2AccessFull = stats.Mean(l2s)
 	rep.MeanDRAMSchedFull = stats.Mean(drams)
-	return rep, nil
+	return rep
 }
 
 // String renders the §III table.

@@ -9,13 +9,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Fig1Commentary is the interpretive note cmd/latsweep appends after
-// the Fig. 1 report. It lives here — next to the report renderer —
-// so the CLI and the golden-output tests share one copy of the exact
-// bytes.
-const Fig1Commentary = "\n(paper Fig. 1: plateaus between ~1.2× and ~6×, sc highest;\n" +
-	" §II: crossovers far above the 120-cycle ideal L2 latency)\n"
-
 // BatchReport renders the full measurement report of a batch of
 // simulations, one section per workload — the exact output of
 // cmd/gpusim, shared with the golden-output tests so the CLI and the
@@ -86,68 +79,6 @@ func (r DesignSpaceResult) CSV() string {
 	b.WriteString("average,")
 	for si := range r.Sets {
 		fmt.Fprintf(&b, ",%.4f", r.MeanSpeedup[si])
-	}
-	b.WriteString("\n")
-	return b.String()
-}
-
-// Plot renders the Fig. 1 curves as an ASCII chart (height rows),
-// normalized IPC on the y-axis and latency on the x-axis — a terminal
-// rendition of the paper's figure. Each curve uses one glyph; the
-// shaded 1.0× line of the paper is drawn as dashes.
-func (r Fig1Report) Plot(height int) string {
-	if height < 4 {
-		height = 4
-	}
-	if len(r.Curves) == 0 || len(r.Latencies) == 0 {
-		return "(no data)\n"
-	}
-	glyphs := "o*x+#@%&"
-	maxY := 1.0
-	for _, c := range r.Curves {
-		for _, p := range c.Points {
-			if p.Normalized > maxY {
-				maxY = p.Normalized
-			}
-		}
-	}
-	width := len(r.Latencies)
-	grid := make([][]byte, height)
-	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", width))
-	}
-	rowFor := func(v float64) int {
-		row := int(v / maxY * float64(height-1))
-		if row < 0 {
-			row = 0
-		}
-		if row >= height {
-			row = height - 1
-		}
-		return height - 1 - row // invert: row 0 on top
-	}
-	// The baseline (1.0×) reference line.
-	oneRow := rowFor(1.0)
-	for x := 0; x < width; x++ {
-		grid[oneRow][x] = '-'
-	}
-	for ci, c := range r.Curves {
-		g := glyphs[ci%len(glyphs)]
-		for x, p := range c.Points {
-			grid[rowFor(p.Normalized)][x] = g
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "normalized IPC (top = %.1fx, dashes = baseline 1.0x)\n", maxY)
-	for _, row := range grid {
-		b.WriteString("  |")
-		b.Write(row)
-		b.WriteString("\n")
-	}
-	b.WriteString("  +" + strings.Repeat("-", width) + "> L1 miss latency ")
-	fmt.Fprintf(&b, "%d..%d\n  ", r.Latencies[0], r.Latencies[len(r.Latencies)-1])
-	for ci, c := range r.Curves {
-		fmt.Fprintf(&b, " %c=%s", glyphs[ci%len(glyphs)], c.Workload)
 	}
 	b.WriteString("\n")
 	return b.String()

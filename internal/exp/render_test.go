@@ -68,24 +68,3 @@ func TestDesignSpaceCSV(t *testing.T) {
 		t.Fatalf("header: %q", csv)
 	}
 }
-
-func TestPlotRendersAllCurves(t *testing.T) {
-	out := sampleFig1().Plot(10)
-	for _, frag := range []string{"o=a", "*=b", "baseline 1.0x"} {
-		if !strings.Contains(out, frag) {
-			t.Fatalf("plot missing %q:\n%s", frag, out)
-		}
-	}
-	// The chart body must contain both glyphs and the 1.0 line.
-	if !strings.Contains(out, "o") || !strings.Contains(out, "*") || !strings.Contains(out, "-") {
-		t.Fatalf("plot body incomplete:\n%s", out)
-	}
-}
-
-func TestPlotEdgeCases(t *testing.T) {
-	if out := (Fig1Report{}).Plot(8); !strings.Contains(out, "no data") {
-		t.Fatalf("empty plot: %q", out)
-	}
-	// Tiny height is clamped, not panicking.
-	_ = sampleFig1().Plot(1)
-}

@@ -40,6 +40,12 @@ func runKind[R any](t *testing.T, kind string, cfg config.Config, sp []workload.
 	if err != nil {
 		t.Fatal(err)
 	}
+	return runWith[R](k, cfg, sp, p)
+}
+
+// runWith executes k through api.Run: a registered kind, or a test's
+// pinned-axis wrapper of the same exp Grid/Build pair.
+func runWith[R any](k api.Kind, cfg config.Config, sp []workload.Spec, p exp.RunParams) (R, error) {
 	rep, err := api.Run(context.Background(), k, cfg, sp, p)
 	if err != nil {
 		var zero R
@@ -81,6 +87,23 @@ func checkGolden(t *testing.T, kind, golden string, names ...string) {
 			t.Errorf("j=%d: %s report drifted from %s:\n got:\n%s\nwant:\n%s", j, kind, golden, got, want)
 		}
 	}
+}
+
+// TestGoldenLatencyReport pins the full Fig. 1 axis the latency kind
+// serves.
+func TestGoldenLatencyReport(t *testing.T) {
+	checkGolden(t, "latency", "latency.golden", "sc", "cfd")
+}
+
+// TestGoldenOccupancyReport pins the §III table.
+func TestGoldenOccupancyReport(t *testing.T) {
+	checkGolden(t, "occupancy", "occupancy.golden", "sc", "cfd")
+}
+
+// TestGoldenDesignSpaceReport pins Table I and the §IV speedups of the
+// five paper scaling sets.
+func TestGoldenDesignSpaceReport(t *testing.T) {
+	checkGolden(t, "designspace", "designspace.golden", "sc", "cfd")
 }
 
 // TestGoldenBottleneckReport pins the stall breakdown of a

@@ -449,7 +449,7 @@ func TestRequestErrors(t *testing.T) {
 	defer cts.Close()
 
 	for _, tc := range []struct{ name, path, body string }{
-		{"unknown kind", "/v1/sweep/latency", `{"workloads":["sc"]}`},
+		{"unknown kind", "/v1/sweep/nosuch", `{"workloads":["sc"]}`},
 		{"workload field on a sweep", "/v1/sweep/bottleneck", `{"workload":"sc"}`},
 		{"run batch without workloads", "/v1/sweep/run", `{}`},
 		{"unknown workload", "/v1/sweep/bottleneck", `{"workloads":["nope"]}`},
@@ -587,7 +587,7 @@ func TestSweepSSE(t *testing.T) {
 	}
 
 	// An invalid request over SSE fails before the stream starts.
-	code, _ = post(t, cts.URL, "/v1/sweep/latency", body,
+	code, _ = post(t, cts.URL, "/v1/sweep/nosuch", body,
 		http.Header{"Accept": []string{"text/event-stream"}})
 	if code != http.StatusBadRequest {
 		t.Errorf("bad SSE request: code=%d, want 400", code)

@@ -1,20 +1,15 @@
 package fabric
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"repro/internal/api"
 	"repro/internal/config"
-	"repro/internal/exp"
 	"repro/internal/policy"
-	"repro/internal/resultcache"
 	"repro/internal/serve"
-	"repro/internal/workload"
 )
 
 // TestCoordinatorPolicyNameErrors mirrors the workers' strict-decode
@@ -74,67 +69,7 @@ func TestCoordinatorPolicyNameErrors(t *testing.T) {
 	}
 }
 
-// TestFleetMitigationMatchesSingleNode is the mitigation acceptance
-// contract: the fleet-merged mitigation sweep — per-job policy configs
-// shipped inline to the workers — is byte-identical to a single node's
-// /v1/sweep/mitigation body, survives losing a worker mid-sweep, and
-// its report payload is exactly what the registry's local executor
-// api.Run marshals (sweep mitigation -json output).
+// TestFleetMitigationMatchesSingleNode: per-job policy configs.
 func TestFleetMitigationMatchesSingleNode(t *testing.T) {
-	_, single := newWorker(t, serve.Options{})
-
-	dying, err := serve.New(serve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dyingTS := httptest.NewServer(abortAfter(1, dying.Handler()))
-	defer dyingTS.Close()
-	_, urlA := newWorker(t, serve.Options{})
-	_, urlB := newWorker(t, serve.Options{})
-	coord := newCoordinator(t, []string{urlA, urlB, dyingTS.URL}, Options{})
-	cts := httptest.NewServer(coord.Handler())
-	defer cts.Close()
-
-	body := `{"workloads":["sc","kmeans"],"warmup_cycles":200,"window_cycles":500}`
-	code, want := post(t, single, "/v1/sweep/mitigation", body, nil)
-	if code != http.StatusOK {
-		t.Fatalf("single node: %d %s", code, want)
-	}
-	code, got := post(t, cts.URL, "/v1/sweep/mitigation", body, nil)
-	if code != http.StatusOK {
-		t.Fatalf("fleet: %d %s", code, got)
-	}
-	if got != want {
-		t.Errorf("fleet-merged mitigation differs from single node:\n got: %s\nwant: %s", got, want)
-	}
-
-	var env serve.Envelope
-	if err := json.Unmarshal([]byte(got), &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Kind != "sweep-mitigation" || !resultcache.ValidKey(env.Key) {
-		t.Errorf("mitigation envelope kind=%q key=%q", env.Kind, env.Key)
-	}
-	specs := make([]workload.Spec, 2)
-	for i, n := range []string{"sc", "kmeans"} {
-		if specs[i], err = workload.SpecByName(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	k, err := api.KindByName("mitigation")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := api.Run(context.Background(), k, config.GTX480Baseline(), specs,
-		exp.RunParams{WarmupCycles: 200, WindowCycles: 500, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(env.Report) != string(local) {
-		t.Errorf("fleet mitigation report differs from api.Run:\n got: %s\nwant: %s", env.Report, local)
-	}
+	checkFleetMatchesSingleNode(t, "mitigation", "sc", "kmeans")
 }

@@ -54,15 +54,21 @@ func TestCoordinatorKindErrors(t *testing.T) {
 	if code != http.StatusBadRequest || !strings.Contains(body, "explicit workloads list") {
 		t.Errorf("empty run batch: code=%d body=%s", code, body)
 	}
+	code, body = post(t, cts.URL, "/v1/sweep/latency", `{"workloads":["sc"],"fixed_latency":100}`, nil)
+	if code != http.StatusBadRequest || !strings.Contains(body, "real memory hierarchy") {
+		t.Errorf("latency sweep on a fixed-latency config: code=%d body=%s", code, body)
+	}
 }
 
-// TestFleetAdviseMatchesSingleNode is the advise acceptance contract:
-// the fleet-merged advise sweep — perturbed per-job configs shipped
-// inline to the workers — is byte-identical to a single node's
-// /v1/sweep/advise body, survives losing a worker mid-sweep, and its
-// report payload is exactly what the registry's local executor
-// api.Run marshals (sweep advise -json output).
-func TestFleetAdviseMatchesSingleNode(t *testing.T) {
+// checkFleetMatchesSingleNode is a kind's fleet acceptance contract:
+// the fleet-merged sweep — per-job configs shipped inline to the
+// workers whenever the grid varies the architecture — is
+// byte-identical to a single node's /v1/sweep/{kind} body, survives
+// losing a worker mid-sweep, and its report payload is exactly what
+// the registry's local executor api.Run marshals (sweep <kind> -json
+// output).
+func checkFleetMatchesSingleNode(t *testing.T, kind string, names ...string) {
+	t.Helper()
 	_, single := newWorker(t, serve.Options{})
 
 	dying, err := serve.New(serve.Options{})
@@ -77,33 +83,37 @@ func TestFleetAdviseMatchesSingleNode(t *testing.T) {
 	cts := httptest.NewServer(coord.Handler())
 	defer cts.Close()
 
-	body := `{"workloads":["sc","kmeans"],"warmup_cycles":200,"window_cycles":500}`
-	code, want := post(t, single, "/v1/sweep/advise", body, nil)
+	list, err := json.Marshal(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"workloads":` + string(list) + `,"warmup_cycles":200,"window_cycles":500}`
+	code, want := post(t, single, "/v1/sweep/"+kind, body, nil)
 	if code != http.StatusOK {
 		t.Fatalf("single node: %d %s", code, want)
 	}
-	code, got := post(t, cts.URL, "/v1/sweep/advise", body, nil)
+	code, got := post(t, cts.URL, "/v1/sweep/"+kind, body, nil)
 	if code != http.StatusOK {
 		t.Fatalf("fleet: %d %s", code, got)
 	}
 	if got != want {
-		t.Errorf("fleet-merged advise differs from single node:\n got: %s\nwant: %s", got, want)
+		t.Errorf("fleet-merged %s differs from single node:\n got: %s\nwant: %s", kind, got, want)
 	}
 
 	var env serve.Envelope
 	if err := json.Unmarshal([]byte(got), &env); err != nil {
 		t.Fatal(err)
 	}
-	if env.Kind != "sweep-advise" || !resultcache.ValidKey(env.Key) {
-		t.Errorf("advise envelope kind=%q key=%q", env.Kind, env.Key)
+	if env.Kind != "sweep-"+kind || !resultcache.ValidKey(env.Key) {
+		t.Errorf("%s envelope kind=%q key=%q", kind, env.Kind, env.Key)
 	}
-	specs := make([]workload.Spec, 2)
-	for i, n := range []string{"sc", "kmeans"} {
+	specs := make([]workload.Spec, len(names))
+	for i, n := range names {
 		if specs[i], err = workload.SpecByName(n); err != nil {
 			t.Fatal(err)
 		}
 	}
-	k, err := api.KindByName("advise")
+	k, err := api.KindByName(kind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +127,26 @@ func TestFleetAdviseMatchesSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(env.Report) != string(local) {
-		t.Errorf("fleet advise report differs from api.Run:\n got: %s\nwant: %s", env.Report, local)
+		t.Errorf("fleet %s report differs from api.Run:\n got: %s\nwant: %s", kind, env.Report, local)
 	}
+}
+
+// TestFleetAdviseMatchesSingleNode: perturbed per-job configs and
+// specs.
+func TestFleetAdviseMatchesSingleNode(t *testing.T) {
+	checkFleetMatchesSingleNode(t, "advise", "sc", "kmeans")
+}
+
+// TestFleetLatencyMatchesSingleNode: per-job fixed-latency configs
+// around one real-hierarchy baseline per workload.
+func TestFleetLatencyMatchesSingleNode(t *testing.T) {
+	checkFleetMatchesSingleNode(t, "latency", "sc", "kmeans")
+}
+
+// TestFleetDesignSpaceMatchesSingleNode: per-job Table I scaled
+// configs.
+func TestFleetDesignSpaceMatchesSingleNode(t *testing.T) {
+	checkFleetMatchesSingleNode(t, "designspace", "sc", "kmeans")
 }
 
 // TestCoordinatorHealthzVersions: the coordinator's /healthz carries

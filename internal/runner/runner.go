@@ -1,7 +1,7 @@
-// Package runner is the experiment-execution engine behind the exp
-// harnesses: a bounded worker pool that farms independent
-// (config, workload) simulations out to goroutines and returns their
-// measurements in submission order.
+// Package runner is the experiment-execution engine behind every
+// sweep (api.Run) and MeasureBatch: a bounded worker pool that farms
+// independent (config, workload) simulations out to goroutines and
+// returns their measurements in submission order.
 //
 // Every figure and table of the paper is a grid of fully independent
 // simulations (Fig. 1 alone is 8 workloads × 18 configurations), and

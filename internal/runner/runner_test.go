@@ -29,7 +29,7 @@ func testJobs(t *testing.T, n int) []Job {
 		}
 		cfg := testConfig()
 		if i%3 == 1 {
-			// Mix sweep points into the batch like RunFig1Suite does.
+			// Mix sweep points into the batch like the Fig. 1 grid does.
 			cfg.FixedLatency = config.FixedLatencyConfig{Enabled: true, Cycles: int64(50 * i)}
 		}
 		jobs = append(jobs, Job{Config: cfg, Workload: wl, WarmupCycles: 500, WindowCycles: 1500})

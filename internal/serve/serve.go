@@ -448,6 +448,13 @@ func (s *Server) sweep(w http.ResponseWriter, r *http.Request, kindName string) 
 		api.Error(w, http.StatusBadRequest, err)
 		return
 	}
+	// A request the kind cannot expand into a grid (a latency sweep on
+	// a fixed-latency config, a single-phase scenario) is the client's
+	// error, as it is at the coordinator, not a failed computation.
+	if _, err := k.Grid(cfg, specs); err != nil {
+		api.Error(w, http.StatusBadRequest, err)
+		return
+	}
 	key, err := resultcache.SweepKey(k.Name, cfg, specs, p.WarmupCycles, p.WindowCycles)
 	if err != nil {
 		api.Error(w, http.StatusBadRequest, err)

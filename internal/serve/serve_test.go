@@ -284,6 +284,10 @@ func TestRequestValidation(t *testing.T) {
 		// as a tiny job and hold a run slot forever.
 		"warmup overflow": {"/v1/run", `{"workload":"sc","warmup_cycles":9223372036854775807,"window_cycles":1}`, "exceeds the server cap"},
 		"sweep overflow":  {"/v1/sweep/bottleneck", `{"workloads":["sc"],"warmup_cycles":9223372036854775807,"window_cycles":1}`, "exceeds the server cap"},
+		// The latency sweep normalizes to the real hierarchy, so a
+		// fixed-latency request has no baseline to measure.
+		"latency on fixed latency": {"/v1/sweep/latency", `{"workloads":["sc"],"fixed_latency":100,"warmup_cycles":100,"window_cycles":300}`, "real memory hierarchy"},
+		"single-phase scenario":    {"/v1/sweep/scenarios", `{"workloads":["sc"],"warmup_cycles":100,"window_cycles":300}`, "single-phase"},
 	}
 	for name, tc := range cases {
 		code, _, body := post(t, ts, tc.path, tc.body)

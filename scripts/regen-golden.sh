@@ -1,18 +1,18 @@
 #!/usr/bin/env sh
 # Regenerates every pinned golden report under internal/exp/testdata
-# with the real binaries — the single definition of the golden
-# methodology, shared by local refreshes and the CI golden job.
+# and internal/fabric/testdata with the real binaries (or, for the two
+# goldens no CLI produces, their owning tests) — the single definition
+# of the golden methodology, shared by local refreshes and the CI
+# golden job.
 #
 # Usage:
 #   scripts/regen-golden.sh [-j N] [-check]
 #
 #   -j N     worker count (default 1). The reports must be
 #            byte-identical at any N; CI runs the script twice (-j 1
-#            and -j 4) to prove it. When N > 1, latsweep deliberately
-#            runs at N-1 so the parallel pass also exercises a second
-#            job-to-worker mapping of the pool (the old inline CI
-#            recipe used gpusim -j 4 / latsweep -j 3 for the same
-#            reason).
+#            and -j 4) to prove it. When N > 1, the latency sweep
+#            deliberately runs at N-1 so the parallel pass also
+#            exercises a second job-to-worker mapping of the pool.
 #   -check   after regenerating, fail if any golden changed — the CI
 #            gate mode. Each diverged file is named with the first
 #            line that differs (line number, pinned vs regenerated
@@ -51,10 +51,17 @@ fi
 
 go run ./cmd/gpusim -workload sc,cfd -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/gpusim-sc-cfd.golden"
 go run ./cmd/gpusim -workload kmeans -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/gpusim-kmeans.golden"
-go run ./cmd/latsweep -workloads sc,cfd -max 400 -step 200 -warmup 2000 -window 5000 -j "$LJ" > "$OUT/latsweep-sc-cfd.golden"
+go run ./cmd/sweep latency -workloads sc,cfd -warmup 2000 -window 5000 -seed 1 -j "$LJ" > "$OUT/latency.golden"
+go run ./cmd/sweep occupancy -workloads sc,cfd -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/occupancy.golden"
+go run ./cmd/sweep designspace -workloads sc,cfd -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/designspace.golden"
 go run ./cmd/sweep bottleneck -workloads sc,leukocyte,kmeans -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/bottleneck.golden"
 go run ./cmd/sweep advise -workloads sc,kmeans -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/advise.golden"
 go run ./cmd/sweep mitigation -workloads kmeans,bfs -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/mitigation.golden"
+
+# The reduced-axis Fig. 1 golden ({0, 200, 400}) pins the same grid
+# and merge halves as the latency sweep on an axis no CLI serves, so
+# its library test owns the regeneration.
+UPDATE_GOLDEN=1 go test ./internal/exp/ -run '^TestGoldenLatsweepReport$' -count 1 > /dev/null
 
 # The fabric golden pins a fleet-merged sweep body (coordinator over
 # three in-process workers). Its test owns the regeneration because

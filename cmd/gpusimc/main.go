@@ -1,25 +1,20 @@
-// Command gpusimc is the sweep coordinator: it shards a sweep across
-// a fleet of gpusimd workers and serves (or prints) the merged report,
-// byte-identical to what a single worker would have produced on its
-// own.
+// Command gpusimc is the sweep coordinator daemon: it shards each sweep
+// it is sent across a fleet of gpusimd workers and serves the merged
+// report, byte-identical to what a single worker would have produced
+// on its own.
 //
 // Usage:
 //
-//	gpusimc -workers http://hostA:8337,http://hostB:8337 [flags]
+//	gpusimc -workers http://hostA:8337,http://hostB:8337 [-addr :8338] [flags]
 //
-//	# serve the coordinator HTTP API (default)
-//	gpusimc -workers ... [-addr :8338]
-//
-//	# or run one sweep from the command line and exit
-//	gpusimc -workers ... -sweep advise [-workloads cfd,lbm]
-//	        [-warmup N] [-window N] [-seed N] [-scale l2dram] [-j N]
-//
-// Flags -config, -max-attempts, -backoff, -cooldown, -max-window and
-// -job-timeout tune the coordinator (see docs/operations.md). The
+// Flags -j, -config, -max-attempts, -backoff, -cooldown, -max-window
+// and -job-timeout tune the coordinator (see docs/operations.md). The
 // base -config must match the workers': the coordinator verifies each
-// response's content address and fails loudly on drift.
+// response's content address and fails loudly on drift. To run one
+// sweep on a fleet from the command line, use sweep <kind> -workers:
+// the same executor and routing, printing the report itself.
 //
-// In serve mode the endpoints are:
+// The endpoints are:
 //
 //	GET  /healthz            liveness + API/code version + fleet size
 //	GET  /v1/workers         per-worker routing state
@@ -32,7 +27,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -45,19 +39,12 @@ import (
 
 	gpgpumem "repro"
 	"repro/internal/fabric"
-	"repro/internal/serve"
 )
 
 func main() {
 	var (
 		workers  = flag.String("workers", "", "comma-separated gpusimd base URLs (required)")
-		addr     = flag.String("addr", ":8338", "listen address for serve mode (host:port; port 0 picks a free port)")
-		sweep    = flag.String("sweep", "", "run one sweep and exit: "+strings.Join(gpgpumem.SweepKindNames(), ", "))
-		names    = flag.String("workloads", "", "comma-separated workload names for -sweep (default: the sweep's standard set)")
-		warmup   = flag.Int64("warmup", -1, "warm-up cycles before measurement (-1 = default methodology)")
-		window   = flag.Int64("window", -1, "measured window cycles (-1 = default methodology)")
-		seed     = flag.Uint64("seed", 0, "override the base config's RNG seed (0 = keep)")
-		scale    = flag.String("scale", "", "apply a Table I scaling set by name")
+		addr     = flag.String("addr", ":8338", "listen address (host:port; port 0 picks a free port)")
 		jobs     = flag.Int("j", 0, "jobs in flight across the fleet (0 = four per worker)")
 		cfgPath  = flag.String("config", "", "base architecture JSON, must match the workers' (default: GTX480 baseline)")
 		attempts = flag.Int("max-attempts", 0, "workers tried per job before the sweep fails (0 = 3)")
@@ -100,11 +87,6 @@ func main() {
 		fatal(err)
 	}
 
-	if *sweep != "" {
-		runOnce(coord, *sweep, *names, *warmup, *window, *seed, *scale, *jobs)
-		return
-	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -131,42 +113,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gpusimc: shutdown:", err)
 	}
 	fmt.Println("gpusimc: bye")
-}
-
-// runOnce runs one sweep in CLI mode, streaming per-job progress to
-// stderr and the merged envelope to stdout.
-func runOnce(coord *fabric.Coordinator, kind, names string, warmup, window int64, seed uint64, scale string, jobs int) {
-	req := serve.JobRequest{Scale: scale, Parallelism: jobs}
-	if names != "" {
-		for _, n := range strings.Split(names, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				req.Workloads = append(req.Workloads, n)
-			}
-		}
-	}
-	if warmup >= 0 {
-		req.Warmup = &warmup
-	}
-	if window >= 0 {
-		req.Window = &window
-	}
-	if seed != 0 {
-		req.Seed = &seed
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	env, err := coord.RunSweep(ctx, kind, req, func(ev fabric.JobEvent) {
-		fmt.Fprintf(os.Stderr, "gpusimc: [%d/%d] %s on %s (attempt %d, %s)\n",
-			ev.Done, ev.Total, ev.Workload, ev.Worker, ev.Attempt, ev.Source)
-	})
-	if err != nil {
-		fatal(err)
-	}
-	data, err := json.Marshal(env)
-	if err != nil {
-		fatal(err)
-	}
-	os.Stdout.Write(append(data, '\n'))
 }
 
 func fatal(err error) {

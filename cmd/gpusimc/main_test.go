@@ -371,29 +371,6 @@ func TestGpusimcAdviseKilledWorker(t *testing.T) {
 	}
 }
 
-// TestGpusimcOneShot: -sweep mode prints the merged envelope to
-// stdout and per-job progress to stderr, then exits 0.
-func TestGpusimcOneShot(t *testing.T) {
-	_, urls, _ := fleet(t, 2)
-	coordBin := clitest.Build(t, "repro/cmd/gpusimc")
-	stdout, stderrOut := clitest.Run(t, coordBin,
-		"-workers", strings.Join(urls, ","),
-		"-sweep", "run", "-workloads", "sc", "-warmup", "200", "-window", "500")
-	var env struct {
-		Kind   string          `json:"kind"`
-		Report json.RawMessage `json:"report"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &env); err != nil {
-		t.Fatalf("one-shot stdout is not an envelope: %v\n%s", err, stdout)
-	}
-	if env.Kind != "run-batch" || len(env.Report) == 0 {
-		t.Errorf("one-shot envelope = %+v", env)
-	}
-	if !strings.Contains(stderrOut, "[1/1] sc") {
-		t.Errorf("no per-job progress on stderr: %s", stderrOut)
-	}
-}
-
 // TestGpusimcBadFlags: a coordinator without workers refuses to
 // start.
 func TestGpusimcBadFlags(t *testing.T) {

@@ -10,7 +10,7 @@
 //
 //	sweep <kind> [-workloads a,b | -workload-file specs.json] [-j N]
 //	             [-scale S] [-seed N] [-warmup N] [-window N]
-//	             [-csv | -json]
+//	             [-csv | -json] [-workers URL,...]
 //
 // The kinds, their descriptions and their default workload scopes come
 // from the internal/api registry the daemons serve; sweep -h lists
@@ -19,6 +19,13 @@
 // exactly the report payload gpusimd returns for that request. Every
 // report is byte-identical at any -j. The run kind's report is a list
 // of measurement envelopes with no table form: it needs -json.
+//
+// -workers runs the same sweep on a fleet of gpusimd workers instead of
+// locally: each grid job is one /v1/run request, routed, retried and
+// key-checked exactly as the gpusimc coordinator does it, with per-job
+// progress on stderr. The report is byte-identical to the local run's;
+// -j then caps the jobs in flight across the fleet (0 = four per
+// worker).
 //
 // -workload-file sweeps the user-defined JSON workload spec(s) in a
 // file (see the README's "Defining your own workload") instead of
@@ -41,6 +48,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/config"
 	"repro/internal/exp"
+	"repro/internal/fabric"
 	"repro/internal/workload"
 )
 
@@ -50,13 +58,14 @@ func main() {
 	var (
 		names  = fs.String("workloads", "", "comma-separated workloads (default: the kind's standard set)")
 		file   = fs.String("workload-file", "", "sweep the user-defined JSON workload spec(s) in this file instead")
-		jobs   = fs.Int("j", 0, "parallel simulations (0 = all cores)")
+		jobs   = fs.Int("j", 0, "parallel simulations (0 = all cores; with -workers, jobs in flight, 0 = four per worker)")
 		scale  = fs.String("scale", "", "Table I scaling set: baseline|l1|l2|dram|l1l2|l2dram|all")
 		seed   = fs.Uint64("seed", 1, "simulation seed")
 		warmup = fs.Int64("warmup", def.WarmupCycles, "warm-up cycles before measurement")
 		window = fs.Int64("window", def.WindowCycles, "measurement window in core cycles")
 		csv    = fs.Bool("csv", false, "emit CSV instead of the table")
 		asJSON = fs.Bool("json", false, "emit the report as compact JSON (the /v1/sweep/<kind> report payload)")
+		fleet  = fs.String("workers", "", "comma-separated gpusimd base URLs to run the grid on instead of locally")
 	)
 	fs.Usage = func() { usage(fs) }
 
@@ -78,10 +87,6 @@ func main() {
 		fatal(fmt.Errorf("-workloads and -workload-file are mutually exclusive (add built-in specs to the file to sweep both)"))
 	}
 
-	k, err := api.KindByName(kind)
-	if err != nil {
-		fatal(err)
-	}
 	req := api.JobRequest{
 		Seed: seed, Scale: *scale,
 		Warmup: warmup, Window: window,
@@ -102,15 +107,28 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-	} else if _, specs, err = k.Scope(req); err != nil {
-		fatal(err)
 	}
-	// A local run honours any -j and has no window cap.
-	cfg, p, err := api.ResolveMethodology(config.GTX480Baseline(), req, max(*jobs, runtime.GOMAXPROCS(0)), math.MaxInt64)
+	// A local run honours any -j and has no window cap; a fleet run
+	// defaults to four jobs in flight per worker.
+	var measure api.Measure = api.Local
+	par := runtime.GOMAXPROCS(0)
+	if *fleet != "" {
+		urls := strings.Split(*fleet, ",")
+		coord, err := fabric.New(fabric.Options{Workers: urls})
+		if err != nil {
+			fatal(err)
+		}
+		measure = coord.Measure(func(ev fabric.JobEvent) {
+			fmt.Fprintf(os.Stderr, "sweep: [%d/%d] %s on %s (attempt %d, %s)\n",
+				ev.Done, ev.Total, ev.Workload, ev.Worker, ev.Attempt, ev.Source)
+		})
+		par = 4 * len(urls)
+	}
+	sw, err := api.Resolve(kind, req, specs, config.GTX480Baseline(), max(*jobs, par), math.MaxInt64)
 	if err != nil {
 		fatal(err)
 	}
-	rep, err := api.Run(context.Background(), k, cfg, specs, p)
+	rep, err := sw.Execute(context.Background(), measure)
 	if err != nil {
 		fatal(err)
 	}
@@ -128,7 +146,7 @@ func main() {
 		CSV() string
 	})
 	if !ok {
-		fatal(fmt.Errorf("the %s kind has no table or CSV form; use -json", k.Name))
+		fatal(fmt.Errorf("the %s kind has no table or CSV form; use -json", kind))
 	}
 	if *csv {
 		fmt.Print(table.CSV())

@@ -242,6 +242,56 @@ func TestJSONMatchesDaemon(t *testing.T) {
 	}
 }
 
+// TestSweepWorkers: -workers runs the same sweep on a gpusimd fleet —
+// one /v1/run job per grid entry, with per-job progress on stderr —
+// and prints output byte-identical to the local run in every format.
+func TestSweepWorkers(t *testing.T) {
+	var urls []string
+	for i := 0; i < 2; i++ {
+		srv, err := serve.New(serve.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		urls = append(urls, ts.URL)
+	}
+	bin := build(t)
+	fleet := []string{"-workers", strings.Join(urls, ",")}
+
+	for _, tc := range []struct {
+		kind, format, progress string
+	}{
+		{"run", "-json", "sweep: [1/1] sc on "},
+		{"advise", "-json", "sweep: [8/8] "},
+		{"advise", "-csv", "sweep: [8/8] "},
+		{"advise", "", "sweep: [8/8] "},
+	} {
+		args := []string{tc.kind, "-workloads", "sc", "-warmup", "200", "-window", "500"}
+		if tc.format != "" {
+			args = append(args, tc.format)
+		}
+		want, _ := clitest.Run(t, bin, args...)
+		got, progress := clitest.Run(t, bin, append(args, fleet...)...)
+		if got != want {
+			t.Errorf("%s %s: fleet output differs from the local run:\n got: %s\nwant: %s", tc.kind, tc.format, got, want)
+		}
+		if !strings.Contains(progress, tc.progress) {
+			t.Errorf("%s %s: no per-job progress on stderr: %s", tc.kind, tc.format, progress)
+		}
+	}
+
+	// A request the resolver rejects fails before any job is sent.
+	stderr := clitest.RunExpectError(t, bin, append([]string{"bottleneck", "-workloads", "nosuch"}, fleet...)...)
+	if !strings.Contains(stderr, "nosuch") || strings.Contains(stderr, "sweep: [") {
+		t.Errorf("unknown workload on a fleet: %s", stderr)
+	}
+	stderr = clitest.RunExpectError(t, bin, "run", "-workloads", "sc", "-json", "-workers", "not-a-url")
+	if !strings.Contains(stderr, "not an absolute URL") {
+		t.Errorf("bad worker URL: %s", stderr)
+	}
+}
+
 // writeSpecFile writes a one-spec JSON workload file for the
 // -workload-file tests.
 func writeSpecFile(t *testing.T) string {

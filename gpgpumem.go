@@ -367,8 +367,8 @@ func FillPolicyNames() []string { return policy.FillNames() }
 func L2PolicyNames() []string { return policy.L2Names() }
 
 // SweepKindNames lists the registered sweep kinds — the valid {kind}
-// segments of the daemons' POST /v1/sweep/{kind} endpoints, of
-// cmd/sweep and of gpusimc -sweep — in registry order.
+// segments of the daemons' POST /v1/sweep/{kind} endpoints and of
+// cmd/sweep — in registry order.
 func SweepKindNames() []string { return api.KindNames() }
 
 // RunSweep runs a registered sweep kind (SweepKindNames) locally on
@@ -457,7 +457,8 @@ func NewExperimentServer(o ExperimentServerOptions) (*ExperimentServer, error) {
 
 // SweepCoordinator shards a sweep across a fleet of experiment
 // servers (cmd/gpusimd workers) and merges the results into a report
-// byte-identical to a single node's — the engine behind cmd/gpusimc.
+// byte-identical to a single node's — the engine behind cmd/gpusimc
+// and sweep -workers.
 // Workers share their content-addressed caches peer-to-peer, jobs
 // route by rendezvous hashing for cache locality, and worker loss
 // retries elsewhere with bounded backoff.

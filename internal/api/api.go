@@ -3,8 +3,10 @@
 // the one JSON error envelope, and the sweep-kind registry that gives
 // the single-node server (internal/serve), the fleet coordinator
 // (internal/fabric) and the sweep CLI (cmd/sweep) a single definition
-// of each sweep, plus the one local executor (Run) that the server,
-// the CLI and the library facade share.
+// of each sweep, plus the one sweep pipeline they all run: Resolve
+// turns a request into a checked, content-addressed grid, and
+// Sweep.Execute measures it — locally (Local) or on a fleet — and
+// merges the report.
 //
 // The package exists so that a sweep kind is declared exactly once.
 // Before it, adding a sweep meant a new handler in serve, a new case
@@ -81,8 +83,8 @@ func DecodeJobRequest(r *http.Request) (JobRequest, error) {
 // ResolveMethodology resolves a request's config transforms and run
 // parameters against a base config and the serving layer's caps. It
 // is the one definition of "what simulation does this request
-// describe": the single-node server and the fabric coordinator both
-// call it, which is what makes their cache keys — and therefore their
+// describe": Resolve and the /v1/run handler call it for every
+// surface, which is what makes their cache keys — and therefore their
 // bytes — agree. An inline req.Config replaces base entirely before
 // the scale/seed/fixed-latency transforms apply.
 func ResolveMethodology(base config.Config, req JobRequest, maxParallel int, maxWindow int64) (config.Config, exp.RunParams, error) {

@@ -1,16 +1,19 @@
 package api
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/exp"
+	"repro/internal/resultcache"
 	"repro/internal/workload"
 )
 
@@ -263,5 +266,56 @@ func TestErrorEnvelope(t *testing.T) {
 	WriteJSON(rec, http.StatusOK, map[string]int{"n": 1})
 	if got := rec.Body.String(); got != "{\"n\":1}\n" {
 		t.Errorf("WriteJSON body = %q", got)
+	}
+}
+
+// TestResolveAndExecute: the resolver expands the grid once and keys
+// the sweep as resultcache.SweepKey does; the executor calls measure
+// exactly once per grid index and merges the same report api.Run
+// produces; an unrunnable job is rejected before anything measures.
+func TestResolveAndExecute(t *testing.T) {
+	warmup, window := int64(100), int64(300)
+	req := JobRequest{Workloads: []string{"sc", "kmeans"}, Warmup: &warmup, Window: &window}
+	base := config.GTX480Baseline()
+	sw, err := Resolve("bottleneck", req, nil, base, 2, 1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := resultcache.SweepKey("bottleneck", base, sw.Specs, warmup, window)
+	if err != nil || sw.Key != key || len(sw.Grid) != 2 || sw.Specs[1].SpecName != "kmeans" {
+		t.Fatalf("resolved sweep: key %q (want %q, %v), grid %d", sw.Key, key, err, len(sw.Grid))
+	}
+
+	var mu sync.Mutex
+	calls := make([]int, len(sw.Grid))
+	rep, err := sw.Execute(context.Background(), func(ctx context.Context, sw *Sweep, i int) (GridResult, error) {
+		mu.Lock()
+		calls[i]++
+		mu.Unlock()
+		return Local(ctx, sw, i)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range calls {
+		if n != 1 {
+			t.Errorf("grid index %d measured %d times", i, n)
+		}
+	}
+	k, _ := KindByName("bottleneck")
+	want, err := Run(context.Background(), k, base, sw.Specs, sw.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(rep)
+	b, _ := json.Marshal(want)
+	if string(a) != string(b) {
+		t.Errorf("Execute report differs from Run:\n got: %s\nwant: %s", a, b)
+	}
+
+	narrow := base
+	narrow.Core.MaxWarpsPerSM = 4
+	if _, err := Resolve("advise", req, nil, narrow, 2, 1_000_000); err == nil || !strings.Contains(err.Error(), "wants 44 warps/SM, config allows 4") {
+		t.Errorf("warp overflow: %v", err)
 	}
 }

@@ -1,0 +1,66 @@
+package api
+
+import (
+	"encoding/json"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"repro/internal/config"
+	"repro/internal/resultcache"
+)
+
+// FuzzResolveSweep feeds a kind name and arbitrary request bytes
+// through the daemons' decoder and the sweep resolver — the path every
+// POST /v1/sweep/{kind} body takes before anything simulates. The
+// property: it never panics, and an accepted request yields a
+// non-empty grid whose every job the simulator can run (its config
+// validates and holds the spec's warps) plus a well-formed sweep key.
+//
+// Run it with: go test ./internal/api -run '^$' -fuzz FuzzResolveSweep
+func FuzzResolveSweep(f *testing.F) {
+	base := config.GTX480Baseline()
+	inline := base
+	inline.L1.Sets *= 2
+	narrow := base
+	narrow.Core.MaxWarpsPerSM = 4
+	for _, c := range []config.Config{inline, narrow} {
+		raw, err := json.Marshal(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add("bottleneck", `{"workloads":["sc"],"config":`+string(raw)+`}`)
+		f.Add("advise", `{"workloads":["sc","kmeans"],"seed":7,"config":`+string(raw)+`}`)
+	}
+	f.Add("latency", `{"workloads":["sc"],"fixed_latency":100}`)
+	f.Add("scenarios", `{"workloads":["kmeans","bfs"],"scale":"l2dram","warmup_cycles":100,"window_cycles":300}`)
+	f.Add("run", `{}`)
+	f.Add("designspace", `{"workloads":["nn"],"scale":"all","seed":3}`)
+	f.Add("nosuch", `{"workloads":["sc"]}`)
+
+	f.Fuzz(func(t *testing.T, kind, body string) {
+		req, err := DecodeJobRequest(httptest.NewRequest("POST", "/v1/sweep", strings.NewReader(body)))
+		if err != nil {
+			return
+		}
+		sw, err := Resolve(kind, req, nil, base, 4, 10_000_000)
+		if err != nil {
+			return
+		}
+		if len(sw.Grid) == 0 {
+			t.Fatalf("accepted %s request %q with an empty grid", kind, body)
+		}
+		for i, g := range sw.Grid {
+			if err := g.Config.Validate(); err != nil {
+				t.Fatalf("accepted %s request %q: job %d config invalid: %v", kind, body, i, err)
+			}
+			if g.Spec.Warps > g.Config.Core.MaxWarpsPerSM {
+				t.Fatalf("accepted %s request %q: job %d wants %d warps/SM, config allows %d",
+					kind, body, i, g.Spec.Warps, g.Config.Core.MaxWarpsPerSM)
+			}
+		}
+		if !resultcache.ValidKey(sw.Key) {
+			t.Fatalf("accepted %s request %q with malformed key %q", kind, body, sw.Key)
+		}
+	})
+}

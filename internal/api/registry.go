@@ -1,14 +1,11 @@
 package api
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/config"
 	"repro/internal/exp"
-	"repro/internal/resultcache"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -61,10 +58,10 @@ type Kind struct {
 	Grid func(cfg config.Config, specs []workload.Spec) ([]Job, error)
 	// Report is the pure merge half: it assembles the typed report
 	// (an exp report, or the run batch's []Envelope) from ordered grid
-	// results. res[i] belongs to grid[i]; the same function merges
-	// local batches and fleet-collected results, and every surface
-	// marshals its value with the one json.Marshal, which is what makes
-	// their payload bytes identical.
+	// results. res[i] belongs to grid[i]. Sweep.Execute is its only
+	// caller, whether the results were simulated locally or collected
+	// from a fleet, which is what makes every surface's payload bytes
+	// identical.
 	Report func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error)
 }
 
@@ -72,8 +69,8 @@ type Kind struct {
 // in the response envelope and the specs the grid expands. A sweep
 // takes a workloads list, never the single workload/spec form of
 // /v1/run; an empty list falls back to the kind's Defaults, and a
-// kind without defaults (run) requires explicit names. Both daemons
-// and cmd/sweep call it, so they accept exactly the same scopes.
+// kind without defaults (run) requires explicit names. Resolve calls
+// it for every surface, so they accept exactly the same scopes.
 func (k Kind) Scope(req JobRequest) ([]string, []workload.Spec, error) {
 	if req.Workload != "" || len(req.Spec) > 0 {
 		return nil, nil, fmt.Errorf("sweeps take a workloads list, not workload/spec")
@@ -94,44 +91,6 @@ func (k Kind) Scope(req JobRequest) ([]string, []workload.Spec, error) {
 		specs[i] = sp
 	}
 	return names, specs, nil
-}
-
-// Run executes a sweep kind locally — the one local executor, shared
-// by the single-node server, cmd/sweep and gpgpumem.RunSweep: expand
-// the grid, run it as one batch on the worker pool (per-job configs —
-// the advise grid varies the architecture), and hand the ordered
-// results to the kind's pure Report half. The fabric coordinator runs
-// the same Grid and Report against fleet-collected results, which is
-// what makes a fleet-merged report byte-identical to this one.
-func Run(ctx context.Context, k Kind, cfg config.Config, specs []workload.Spec, p exp.RunParams) (any, error) {
-	grid, err := k.Grid(cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-	jobs := make([]runner.Job, len(grid))
-	for i, g := range grid {
-		jobs[i] = runner.Job{
-			Config: g.Config, Workload: g.Spec,
-			WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles,
-		}
-	}
-	results, err := runner.Run(ctx, jobs, runner.Options{Parallelism: p.Parallelism})
-	if err != nil {
-		return nil, err
-	}
-	res := make([]GridResult, len(grid))
-	for i, g := range grid {
-		key, err := resultcache.JobKey(g.Config, g.Spec, p.WarmupCycles, p.WindowCycles)
-		if err != nil {
-			return nil, err
-		}
-		enc, err := exp.EncodeResults(results[i])
-		if err != nil {
-			return nil, err
-		}
-		res[i] = GridResult{Key: key, Encoded: enc, Results: results[i]}
-	}
-	return k.Report(cfg, specs, p, grid, res)
 }
 
 // decoded projects grid results onto the []sim.Results layout the exp

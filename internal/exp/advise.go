@@ -140,34 +140,16 @@ func Coalesced(sp workload.Spec) workload.Spec {
 	return out
 }
 
-// AdviseGrid validates the workloads and expands them into the
-// advisor's measurement grid: for each spec, the baseline measurement
+// AdviseGrid expands the workloads into the advisor's measurement
+// grid: for each spec, the baseline measurement
 // followed by one job per Perturbations() entry, in that order. The
 // layout is part of the sweep's byte-identity contract —
 // BuildAdviseReport reads results in exactly this stride.
 func AdviseGrid(base config.Config, specs []workload.Spec) ([]GridJob, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("exp: advise needs at least one workload")
-	}
 	perts := Perturbations()
-	grid := make([]GridJob, 0, len(specs)*(1+len(perts)))
-	for _, sp := range specs {
-		if err := sp.Validate(); err != nil {
-			return nil, err
-		}
-		grid = append(grid, GridJob{Config: base, Spec: sp})
-		for _, pt := range perts {
-			cfg, psp := pt.Apply(base, sp)
-			if err := cfg.Validate(); err != nil {
-				return nil, fmt.Errorf("exp: advise perturbation %s: %w", pt.Name, err)
-			}
-			if err := psp.Validate(); err != nil {
-				return nil, fmt.Errorf("exp: advise perturbation %s: %w", pt.Name, err)
-			}
-			grid = append(grid, GridJob{Config: cfg, Spec: psp})
-		}
-	}
-	return grid, nil
+	return variantGrid("advise", base, specs, len(perts), func(j int, cfg config.Config, sp workload.Spec) (config.Config, workload.Spec) {
+		return perts[j].Apply(cfg, sp)
+	})
 }
 
 // AdviseOutcome is one measured intervention in a workload's report
@@ -218,15 +200,14 @@ type AdviseReport struct {
 // byte-identical.
 func BuildAdviseReport(specs []workload.Spec, p RunParams, res []sim.Results) (AdviseReport, error) {
 	perts := Perturbations()
-	stride := 1 + len(perts)
-	if len(res) != len(specs)*stride {
-		return AdviseReport{}, fmt.Errorf("exp: advise merge: %d results for %d workloads (want %d)",
-			len(res), len(specs), len(specs)*stride)
+	rows, err := splitRows("advise", specs, len(perts), res)
+	if err != nil {
+		return AdviseReport{}, err
 	}
 	rep := AdviseReport{Warmup: p.WarmupCycles, Window: p.WindowCycles,
 		Rows: make([]AdviseRow, len(specs))}
 	for i, sp := range specs {
-		baseRes := res[i*stride]
+		baseRes := rows[i][0]
 		dominant := baseRes.Stalls.Dominant()
 		row := AdviseRow{
 			Workload:      sp.SpecName,
@@ -235,7 +216,7 @@ func BuildAdviseReport(specs []workload.Spec, p RunParams, res []sim.Results) (A
 			Interventions: make([]AdviseOutcome, len(perts)),
 		}
 		for j, pt := range perts {
-			r := res[i*stride+1+j]
+			r := rows[i][1+j]
 			out := AdviseOutcome{
 				Name:        pt.Name,
 				Description: pt.Description,

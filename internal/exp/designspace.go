@@ -32,23 +32,9 @@ type DesignSpaceResult struct {
 // the sweep's byte-identity contract — BuildDesignSpaceReport reads
 // results in exactly this stride.
 func DesignSpaceGrid(base config.Config, specs []workload.Spec, sets []config.ScalingSet) ([]GridJob, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("exp: the design-space sweep needs at least one workload")
-	}
-	// The scaled configurations are the same for every workload;
-	// derive them once instead of len(specs) times.
-	scaled := make([]config.Config, len(sets))
-	for si, set := range sets {
-		scaled[si] = set.Apply(base)
-	}
-	grid := make([]GridJob, 0, len(specs)*(1+len(sets)))
-	for _, sp := range specs {
-		grid = append(grid, GridJob{Config: base, Spec: sp})
-		for _, cfg := range scaled {
-			grid = append(grid, GridJob{Config: cfg, Spec: sp})
-		}
-	}
-	return grid, nil
+	return variantGrid("design-space", base, specs, len(sets), func(j int, cfg config.Config, sp workload.Spec) (config.Config, workload.Spec) {
+		return sets[j].Apply(cfg), sp
+	})
 }
 
 // BuildDesignSpaceReport assembles the §IV result from
@@ -57,20 +43,19 @@ func DesignSpaceGrid(base config.Config, specs []workload.Spec, sets []config.Sc
 // computed locally or collected from a fleet, so the two reports are
 // byte-identical.
 func BuildDesignSpaceReport(specs []workload.Spec, sets []config.ScalingSet, measured []sim.Results) (DesignSpaceResult, error) {
-	stride := 1 + len(sets)
-	if len(measured) != len(specs)*stride {
-		return DesignSpaceResult{}, fmt.Errorf("exp: designspace merge: %d results for %d workloads (want %d)",
-			len(measured), len(specs), len(specs)*stride)
+	rows, err := splitRows("designspace", specs, len(sets), measured)
+	if err != nil {
+		return DesignSpaceResult{}, err
 	}
 	res := DesignSpaceResult{Sets: sets}
 	per := make([][]float64, len(specs))
 	for wi, sp := range specs {
-		baseRes := measured[wi*stride]
+		baseRes := rows[wi][0]
 		res.Workloads = append(res.Workloads, sp.SpecName)
 		res.BaselineIPC = append(res.BaselineIPC, baseRes.IPC)
 		per[wi] = make([]float64, len(sets))
 		for si := range sets {
-			r := measured[wi*stride+1+si]
+			r := rows[wi][1+si]
 			if baseRes.IPC > 0 {
 				per[wi][si] = r.IPC / baseRes.IPC
 			}

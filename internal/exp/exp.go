@@ -51,6 +51,45 @@ type GridJob struct {
 	Spec   workload.Spec
 }
 
+// variantGrid is the one expansion behind the comparative sweeps
+// (latency, designspace, advise, mitigation): per spec, the baseline
+// job on base followed by the n jobs variant(0..n-1) derives from that
+// baseline pair, in order. The layout is part of each sweep's
+// byte-identity contract — splitRows reads the results back in
+// exactly this stride.
+func variantGrid(sweep string, base config.Config, specs []workload.Spec, n int,
+	variant func(j int, cfg config.Config, sp workload.Spec) (config.Config, workload.Spec)) ([]GridJob, error) {
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("exp: the %s sweep needs at least one workload", sweep)
+	}
+	grid := make([]GridJob, 0, len(specs)*(1+n))
+	for _, sp := range specs {
+		grid = append(grid, GridJob{Config: base, Spec: sp})
+		for j := 0; j < n; j++ {
+			cfg, vsp := variant(j, base, sp)
+			grid = append(grid, GridJob{Config: cfg, Spec: vsp})
+		}
+	}
+	return grid, nil
+}
+
+// splitRows cuts a variantGrid's ordered results into one row per
+// spec — row[0] the baseline, row[1+j] variant j — after checking the
+// result count against the stride. It is the split every comparative
+// merge half shares.
+func splitRows(sweep string, specs []workload.Spec, variants int, res []sim.Results) ([][]sim.Results, error) {
+	stride := 1 + variants
+	if len(res) != len(specs)*stride {
+		return nil, fmt.Errorf("exp: %s merge: %d results for %d workloads (want %d)",
+			sweep, len(res), len(specs), len(specs)*stride)
+	}
+	rows := make([][]sim.Results, len(specs))
+	for i := range rows {
+		rows[i] = res[i*stride : (i+1)*stride]
+	}
+	return rows, nil
+}
+
 // Measure builds a GPU for (cfg, wl), runs warmup+window, and returns
 // the window's results. It is the single-job form of the engine: the
 // worker pool executes exactly this per job, so a batch at any

@@ -113,22 +113,13 @@ type Fig1Report struct {
 // A base that is already fixed-latency is rejected: it has no real
 // hierarchy to normalize to.
 func Fig1Grid(base config.Config, specs []workload.Spec, latencies []int64) ([]GridJob, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("exp: the latency sweep needs at least one workload")
-	}
 	if base.FixedLatency.Enabled {
 		return nil, fmt.Errorf("exp: the latency sweep's baseline must be the real memory hierarchy, not a fixed-latency config")
 	}
-	grid := make([]GridJob, 0, len(specs)*(1+len(latencies)))
-	for _, sp := range specs {
-		grid = append(grid, GridJob{Config: base, Spec: sp})
-		for _, lat := range latencies {
-			cfg := base
-			cfg.FixedLatency = config.FixedLatencyConfig{Enabled: true, Cycles: lat}
-			grid = append(grid, GridJob{Config: cfg, Spec: sp})
-		}
-	}
-	return grid, nil
+	return variantGrid("latency", base, specs, len(latencies), func(j int, cfg config.Config, sp workload.Spec) (config.Config, workload.Spec) {
+		cfg.FixedLatency = config.FixedLatencyConfig{Enabled: true, Cycles: latencies[j]}
+		return cfg, sp
+	})
 }
 
 // BuildFig1Report assembles the Fig. 1 report from Fig1Grid's ordered
@@ -136,14 +127,13 @@ func Fig1Grid(base config.Config, specs []workload.Spec, latencies []int64) ([]G
 // function whether the results were computed locally or collected
 // from a fleet, so the two reports are byte-identical.
 func BuildFig1Report(specs []workload.Spec, latencies []int64, res []sim.Results) (Fig1Report, error) {
-	stride := 1 + len(latencies)
-	if len(res) != len(specs)*stride {
-		return Fig1Report{}, fmt.Errorf("exp: latency merge: %d results for %d workloads (want %d)",
-			len(res), len(specs), len(specs)*stride)
+	rows, err := splitRows("latency", specs, len(latencies), res)
+	if err != nil {
+		return Fig1Report{}, err
 	}
 	rep := Fig1Report{Latencies: latencies, Curves: make([]Fig1Curve, len(specs))}
 	for i, sp := range specs {
-		rep.Curves[i] = fig1Curve(sp.SpecName, latencies, res[i*stride:(i+1)*stride])
+		rep.Curves[i] = fig1Curve(sp.SpecName, latencies, rows[i])
 	}
 	return rep, nil
 }

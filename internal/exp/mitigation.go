@@ -67,31 +67,16 @@ func Mitigations() []Mitigation {
 	}
 }
 
-// MitigationGrid validates the workloads and expands them into the
-// sweep's measurement grid: for each spec, the baseline measurement
+// MitigationGrid expands the workloads into the sweep's measurement
+// grid: for each spec, the baseline measurement
 // followed by one job per Mitigations() entry, in that order. The
 // layout is part of the sweep's byte-identity contract —
 // BuildMitigationReport reads results in exactly this stride.
 func MitigationGrid(base config.Config, specs []workload.Spec) ([]GridJob, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("exp: mitigation needs at least one workload")
-	}
 	mits := Mitigations()
-	grid := make([]GridJob, 0, len(specs)*(1+len(mits)))
-	for _, sp := range specs {
-		if err := sp.Validate(); err != nil {
-			return nil, err
-		}
-		grid = append(grid, GridJob{Config: base, Spec: sp})
-		for _, m := range mits {
-			cfg := m.Apply(base)
-			if err := cfg.Validate(); err != nil {
-				return nil, fmt.Errorf("exp: mitigation %s: %w", m.Name, err)
-			}
-			grid = append(grid, GridJob{Config: cfg, Spec: sp})
-		}
-	}
-	return grid, nil
+	return variantGrid("mitigation", base, specs, len(mits), func(j int, cfg config.Config, sp workload.Spec) (config.Config, workload.Spec) {
+		return mits[j].Apply(cfg), sp
+	})
 }
 
 // MitigationOutcome is one measured policy in a workload's report row,
@@ -142,15 +127,14 @@ type MitigationReport struct {
 // two reports are byte-identical.
 func BuildMitigationReport(specs []workload.Spec, p RunParams, res []sim.Results) (MitigationReport, error) {
 	mits := Mitigations()
-	stride := 1 + len(mits)
-	if len(res) != len(specs)*stride {
-		return MitigationReport{}, fmt.Errorf("exp: mitigation merge: %d results for %d workloads (want %d)",
-			len(res), len(specs), len(specs)*stride)
+	rows, err := splitRows("mitigation", specs, len(mits), res)
+	if err != nil {
+		return MitigationReport{}, err
 	}
 	rep := MitigationReport{Warmup: p.WarmupCycles, Window: p.WindowCycles,
 		Rows: make([]MitigationRow, len(specs))}
 	for i, sp := range specs {
-		baseRes := res[i*stride]
+		baseRes := rows[i][0]
 		row := MitigationRow{
 			Workload:    sp.SpecName,
 			BaselineIPC: baseRes.IPC,
@@ -158,7 +142,7 @@ func BuildMitigationReport(specs []workload.Spec, p RunParams, res []sim.Results
 			Policies:    make([]MitigationOutcome, len(mits)),
 		}
 		for j, m := range mits {
-			r := res[i*stride+1+j]
+			r := rows[i][1+j]
 			cause, pp := largestShift(baseRes.Stalls, r.Stalls)
 			row.Policies[j] = MitigationOutcome{
 				Name:        m.Name,

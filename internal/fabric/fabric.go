@@ -22,13 +22,12 @@
 //     same discipline that makes the in-process worker pool
 //     deterministic — reused here at cluster scale.
 //
-// The sweeps themselves come from the internal/api sweep-kind
-// registry: the coordinator holds no per-kind logic. A kind's Grid
-// half expands the request into (config, spec) jobs — per-job configs
-// are what let the advise kind perturb the architecture — and its
-// Report half merges the ordered results, the same pure function a
-// single node runs, which is what makes the fleet-merged report
-// byte-identical.
+// The coordinator holds no sweep logic of its own: api.Resolve expands
+// the request into the kind's grid, and api.Sweep.Execute merges the
+// ordered results with the kind's pure Report half — the same
+// resolver and executor a single node runs. This package supplies
+// only the per-job measure (Coordinator.Measure), which is what makes
+// the fleet-merged report byte-identical.
 //
 // Jobs route by rendezvous hashing (resultcache.Rank) so repeated
 // sweeps revisit the worker whose cache already holds each result; a
@@ -57,7 +56,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/exp"
 	"repro/internal/resultcache"
-	"repro/internal/runner"
 )
 
 // Options configures a Coordinator.
@@ -241,10 +239,6 @@ func (e *RequestError) Error() string { return e.Err.Error() }
 // Unwrap exposes the underlying error to errors.Is/As.
 func (e *RequestError) Unwrap() error { return e.Err }
 
-func badRequest(format string, args ...any) error {
-	return &RequestError{Err: fmt.Errorf(format, args...)}
-}
-
 // RunSweep shards the requested sweep — any kind registered in
 // internal/api — across the fleet and returns the merged response
 // envelope. The envelope — key, kind, workload names, methodology and
@@ -253,131 +247,97 @@ func badRequest(format string, args ...any) error {
 // /v1/sweep/{kind} endpoint. progress, when non-nil, is called
 // serially after each job completes.
 func (c *Coordinator) RunSweep(ctx context.Context, kind string, req api.JobRequest, progress func(JobEvent)) (api.Envelope, error) {
-	k, err := api.KindByName(kind)
-	if err != nil {
-		return api.Envelope{}, badRequest("%v", err)
-	}
-	names, specs, err := k.Scope(req)
-	if err != nil {
-		return api.Envelope{}, badRequest("%v", err)
-	}
-	cfg, p, err := api.ResolveMethodology(c.base, req, c.maxParallel, c.maxWindow)
-	if err != nil {
-		return api.Envelope{}, badRequest("%v", err)
-	}
-
-	// The grid is the sweep's unit of distribution: one /v1/run
-	// measurement per entry, in an order the merge step depends on.
-	grid, err := k.Grid(cfg, specs)
-	if err != nil {
-		return api.Envelope{}, badRequest("%v", err)
-	}
-
-	keys := make([]string, len(grid))
-	bodies := make([][]byte, len(grid))
-	for i, g := range grid {
-		key, err := resultcache.JobKey(g.Config, g.Spec, p.WarmupCycles, p.WindowCycles)
-		if err != nil {
-			return api.Envelope{}, badRequest("%s: %v", g.Spec.SpecName, err)
-		}
-		canon, err := g.Spec.CanonicalJSON()
-		if err != nil {
-			return api.Envelope{}, badRequest("%s: %v", g.Spec.SpecName, err)
-		}
-		jr := api.JobRequest{
-			Spec:         canon,
-			Seed:         req.Seed,
-			Scale:        req.Scale,
-			FixedLatency: req.FixedLatency,
-			Warmup:       &p.WarmupCycles,
-			Window:       &p.WindowCycles,
-		}
-		if g.Config != cfg {
-			// A perturbed grid entry (the advise kind) does not share
-			// the fleet's base architecture: ship the fully resolved
-			// config inline and drop the transforms, which are already
-			// baked into it. The worker's key check still guards
-			// code-version drift.
-			cj, err := json.Marshal(g.Config)
-			if err != nil {
-				return api.Envelope{}, fmt.Errorf("fabric: marshal config for %s: %w", g.Spec.SpecName, err)
-			}
-			jr = api.JobRequest{
-				Spec:   canon,
-				Config: cj,
-				Warmup: &p.WarmupCycles,
-				Window: &p.WindowCycles,
-			}
-		}
-		body, err := json.Marshal(jr)
-		if err != nil {
-			return api.Envelope{}, fmt.Errorf("fabric: marshal job %s: %w", g.Spec.SpecName, err)
-		}
-		keys[i] = key
-		bodies[i] = body
-	}
-
-	// Cluster-level ordered-results discipline: runner.Map returns
-	// outcomes at their grid index no matter which worker finished
-	// when, so the merge below never has to sort or match.
-	var emitMu sync.Mutex
-	done := 0
-	outs, err := runner.Map(ctx, len(grid), runner.Options{Parallelism: p.Parallelism}, func(i int) (jobResult, error) {
-		out, err := c.executeJob(ctx, grid[i].Spec.SpecName, keys[i], bodies[i])
-		if err != nil {
-			return jobResult{}, err
-		}
-		if progress != nil {
-			emitMu.Lock()
-			done++
-			progress(JobEvent{
-				Index: i, Total: len(grid), Done: done,
-				Workload: grid[i].Spec.SpecName,
-				Worker:   out.worker, Attempt: out.attempt, Source: out.source,
-			})
-			emitMu.Unlock()
-		}
-		return out, nil
-	})
+	sw, err := c.resolve(kind, req)
 	if err != nil {
 		return api.Envelope{}, err
 	}
+	return c.run(ctx, sw, progress)
+}
 
-	// The merge is the kind's pure Report half over the ordered,
-	// key-verified results — the same function a single node runs over
-	// its locally computed batch.
-	res := make([]api.GridResult, len(outs))
-	for i, out := range outs {
-		r, err := exp.DecodeResults(out.env.Results)
-		if err != nil {
-			return api.Envelope{}, fmt.Errorf("fabric: job %s result from %s: %w",
-				grid[i].Spec.SpecName, out.worker, err)
-		}
-		res[i] = api.GridResult{Key: keys[i], Encoded: out.env.Results, Results: r}
-	}
-	rep, err := k.Report(cfg, specs, p, grid, res)
+// resolve runs the api resolver against the coordinator's base and
+// caps; its every error is a RequestError.
+func (c *Coordinator) resolve(kind string, req api.JobRequest) (*api.Sweep, error) {
+	sw, err := api.Resolve(kind, req, nil, c.base, c.maxParallel, c.maxWindow)
 	if err != nil {
-		return api.Envelope{}, fmt.Errorf("fabric: merge %s report: %w", k.Name, err)
+		return nil, &RequestError{Err: err}
+	}
+	return sw, nil
+}
+
+// run executes a resolved sweep with the fleet measure and wraps the
+// merged report in the sweep's envelope.
+func (c *Coordinator) run(ctx context.Context, sw *api.Sweep, progress func(JobEvent)) (api.Envelope, error) {
+	rep, err := sw.Execute(ctx, c.Measure(progress))
+	if err != nil {
+		return api.Envelope{}, err
 	}
 	report, err := json.Marshal(rep)
 	if err != nil {
-		return api.Envelope{}, fmt.Errorf("fabric: marshal %s report: %w", k.Name, err)
+		return api.Envelope{}, fmt.Errorf("fabric: marshal %s report: %w", sw.Kind.Name, err)
 	}
-	env := api.Envelope{
-		Kind:         k.ResponseKind,
-		Workloads:    names,
-		WarmupCycles: p.WarmupCycles,
-		WindowCycles: p.WindowCycles,
-		Report:       report,
+	return sw.Envelope(report), nil
+}
+
+// Measure returns the fleet form of api.Measure for one sweep: each
+// grid entry becomes one /v1/run job, routed, retried and
+// key-checked by executeJob. progress, when non-nil, is called
+// serially after each job completes; call Measure once per sweep, as
+// it counts the sweep's completed jobs.
+func (c *Coordinator) Measure(progress func(JobEvent)) api.Measure {
+	var mu sync.Mutex
+	done := 0
+	return func(ctx context.Context, sw *api.Sweep, i int) (api.GridResult, error) {
+		g, p := sw.Grid[i], sw.Params
+		name := g.Spec.SpecName
+		key, err := resultcache.JobKey(g.Config, g.Spec, p.WarmupCycles, p.WindowCycles)
+		if err != nil {
+			return api.GridResult{}, fmt.Errorf("fabric: job %s: %w", name, err)
+		}
+		body, err := jobBody(sw, g)
+		if err != nil {
+			return api.GridResult{}, fmt.Errorf("fabric: job %s: %w", name, err)
+		}
+		out, err := c.executeJob(ctx, name, key, body)
+		if err != nil {
+			return api.GridResult{}, err
+		}
+		r, err := exp.DecodeResults(out.env.Results)
+		if err != nil {
+			return api.GridResult{}, fmt.Errorf("fabric: job %s result from %s: %w", name, out.worker, err)
+		}
+		if progress != nil {
+			mu.Lock()
+			done++
+			progress(JobEvent{
+				Index: i, Total: len(sw.Grid), Done: done,
+				Workload: name,
+				Worker:   out.worker, Attempt: out.attempt, Source: out.source,
+			})
+			mu.Unlock()
+		}
+		return api.GridResult{Key: key, Encoded: out.env.Results, Results: r}, nil
 	}
-	// The sweep's content address is computed exactly as a single
-	// node computes it, so the merged envelope carries the same key a
-	// single-node response would.
-	env.Key, err = resultcache.SweepKey(k.Name, cfg, specs, p.WarmupCycles, p.WindowCycles)
+}
+
+// jobBody is the /v1/run request for one grid entry. A job on the
+// sweep's own config from a request without an inline config ships
+// the request's transforms, so the worker resolves it against its own
+// base and the key check catches a fleet whose base drifted. Any
+// other job — a perturbed grid entry, or any entry of a request that
+// carried its config — ships its fully resolved config inline; the
+// key check then still guards code-version drift.
+func jobBody(sw *api.Sweep, g api.Job) ([]byte, error) {
+	canon, err := g.Spec.CanonicalJSON()
 	if err != nil {
-		return api.Envelope{}, fmt.Errorf("fabric: sweep key: %w", err)
+		return nil, err
 	}
-	return env, nil
+	jr := api.JobRequest{Spec: canon, Warmup: &sw.Params.WarmupCycles, Window: &sw.Params.WindowCycles}
+	if g.Config == sw.Config && len(sw.Request.Config) == 0 {
+		jr.Seed, jr.Scale, jr.FixedLatency = sw.Request.Seed, sw.Request.Scale, sw.Request.FixedLatency
+	} else if jr.Config, err = json.Marshal(g.Config); err != nil {
+		return nil, err
+	}
+	return json.Marshal(jr)
 }
 
 // jobResult is one grid entry's outcome: the worker's envelope plus
@@ -536,13 +496,10 @@ func (c *Coordinator) sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// errStatus maps sweep errors to HTTP codes: request mistakes are
-// 400, cancellations 503 (retryable), fleet failures 502.
+// errStatus maps the errors of a resolved sweep to HTTP codes:
+// cancellations are 503 (retryable), fleet failures 502. Request
+// mistakes never get here; the resolver rejected them with 400.
 func errStatus(err error) int {
-	var reqErr *RequestError
-	if errors.As(err, &reqErr) {
-		return http.StatusBadRequest
-	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return http.StatusServiceUnavailable
 	}

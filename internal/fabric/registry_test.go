@@ -58,6 +58,55 @@ func TestCoordinatorKindErrors(t *testing.T) {
 	if code != http.StatusBadRequest || !strings.Contains(body, "real memory hierarchy") {
 		t.Errorf("latency sweep on a fixed-latency config: code=%d body=%s", code, body)
 	}
+
+	// A config whose SMs cannot hold a workload's warps is rejected by
+	// the resolver — the same 400 text /v1/run gives — before any job
+	// reaches a worker, on the SSE path too.
+	narrow := config.GTX480Baseline()
+	narrow.Core.MaxWarpsPerSM = 4
+	raw, err := json.Marshal(narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, hdr := range map[string]http.Header{"plain": nil, "sse": sse} {
+		code, body := post(t, cts.URL, "/v1/sweep/bottleneck", `{"workloads":["sc"],"config":`+string(raw)+`}`, hdr)
+		if code != http.StatusBadRequest || !strings.Contains(body, "wants 44 warps/SM, config allows 4") {
+			t.Errorf("%s: warp overflow: code=%d body=%s", name, code, body)
+		}
+	}
+}
+
+// TestFleetInlineConfigMatchesSingleNode: a sweep request carrying its
+// own architecture (differing from the workers' base) is shipped with
+// that config, so the fleet answers exactly what a single node does
+// instead of resolving against the workers' base.
+func TestFleetInlineConfigMatchesSingleNode(t *testing.T) {
+	_, single := newWorker(t, serve.Options{})
+	_, urls := newFleet(t, 2, serve.Options{})
+	coord := newCoordinator(t, urls, Options{})
+	cts := httptest.NewServer(coord.Handler())
+	defer cts.Close()
+
+	inline := config.GTX480Baseline()
+	inline.L1.Sets *= 2
+	raw, err := json.Marshal(inline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"bottleneck", "advise"} {
+		body := `{"workloads":["sc","kmeans"],"config":` + string(raw) + `,"seed":7,"warmup_cycles":200,"window_cycles":500}`
+		code, want := post(t, single, "/v1/sweep/"+kind, body, nil)
+		if code != http.StatusOK {
+			t.Fatalf("%s single node: %d %s", kind, code, want)
+		}
+		code, got := post(t, cts.URL, "/v1/sweep/"+kind, body, nil)
+		if code != http.StatusOK {
+			t.Fatalf("%s fleet: %d %s", kind, code, got)
+		}
+		if got != want {
+			t.Errorf("%s: fleet-merged inline-config sweep differs from single node:\n got: %s\nwant: %s", kind, got, want)
+		}
+	}
 }
 
 // checkFleetMatchesSingleNode is a kind's fleet acceptance contract:

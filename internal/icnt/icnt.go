@@ -52,14 +52,6 @@ type Stats struct {
 	OutputStalls     int64 // cycles an assembled packet waited on a full sink
 	InputFullRejects int64 // Push calls refused
 	BusyCycles       int64 // output-port cycles spent transferring
-	// InFullCycles counts input-queue cycles spent at capacity, summed
-	// over the inputs as the queues are sampled — the back pressure
-	// the crossbar exerts on its upstream injectors (SM miss paths on
-	// the request network, L2 response paths on the response network).
-	// Dividing by ticks × inputs gives a per-queue average comparable
-	// to the L2/DRAM levels' counters; it is one of the per-level
-	// counters the stall-attribution stack composes from.
-	InFullCycles int64
 }
 
 // Crossbar is an input-queued crossbar with per-output round-robin
@@ -145,13 +137,10 @@ func (c *Crossbar) AnyInputFull() bool {
 
 // Tick advances the crossbar by one interconnect cycle.
 func (c *Crossbar) Tick(cycle int64) {
-	if c.busy == 0 {
-		for _, in := range c.inputs {
-			in.Sample()
-		}
-		return
-	}
-	for out := 0; out < c.cfg.Outputs; out++ {
+	// With busy at zero no input holds a packet and no output a
+	// transfer, so the remaining outputs have nothing to arbitrate or
+	// move; an idle crossbar only samples its (empty) inputs.
+	for out := 0; c.busy > 0 && out < c.cfg.Outputs; out++ {
 		if c.current[out] == nil {
 			c.arbitrate(out)
 			// The chosen packet starts transferring this cycle.
@@ -176,14 +165,9 @@ func (c *Crossbar) Tick(cycle int64) {
 			}
 		}
 	}
-	var full int64
 	for _, in := range c.inputs {
 		in.Sample()
-		if in.Full() {
-			full++
-		}
 	}
-	c.stats.InFullCycles += full
 }
 
 // arbitrate picks the next input whose head packet targets out,

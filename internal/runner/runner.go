@@ -1,7 +1,7 @@
 // Package runner is the experiment-execution engine behind every
-// sweep (api.Run) and MeasureBatch: a bounded worker pool that farms
-// independent (config, workload) simulations out to goroutines and
-// returns their measurements in submission order.
+// sweep (api.Sweep.Execute) and MeasureBatch: a bounded worker pool
+// that farms independent (config, workload) simulations out to
+// goroutines and returns their measurements in submission order.
 //
 // Every figure and table of the paper is a grid of fully independent
 // simulations (Fig. 1 alone is 8 workloads × 18 configurations), and
@@ -103,10 +103,11 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]sim.Results, error) {
 
 // Map is the pool's ordered-results discipline, generalized: run
 // fn(0..n-1) on a bounded worker pool and return the values indexed
-// by i, regardless of completion order. It is what Run is built on,
-// and what lets other layers — the cluster coordinator in
-// internal/fabric farms one HTTP job per index out to a worker fleet
-// — inherit the same guarantees without re-proving them:
+// by i, regardless of completion order. It is what Run and the sweep
+// executor api.Sweep.Execute are built on, and what lets a sweep
+// measured remotely — the internal/fabric measure sends one HTTP job
+// per index to a worker fleet — inherit the same guarantees without
+// re-proving them:
 //
 //   - results land at their submission index, so a deterministic fn
 //     yields a deterministic slice at any parallelism;

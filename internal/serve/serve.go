@@ -321,12 +321,6 @@ func validateEntry(key string, val []byte) error {
 	return nil
 }
 
-// methodology resolves the request against this server's base and
-// caps.
-func (s *Server) methodology(req JobRequest) (config.Config, exp.RunParams, error) {
-	return api.ResolveMethodology(s.base, req, s.maxParallel, s.maxWindow)
-}
-
 // handleRun measures one workload, serving cached bytes when the job
 // has run before.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -366,14 +360,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		api.Error(w, http.StatusBadRequest, fmt.Errorf("request needs a workload name or an inline spec"))
 		return
 	}
-	cfg, p, err := s.methodology(req)
+	cfg, p, err := api.ResolveMethodology(s.base, req, s.maxParallel, s.maxWindow)
 	if err != nil {
 		api.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	if spec.Warps > cfg.Core.MaxWarpsPerSM {
-		api.Error(w, http.StatusBadRequest,
-			fmt.Errorf("workload %s wants %d warps/SM, config allows %d", spec.SpecName, spec.Warps, cfg.Core.MaxWarpsPerSM))
+	if err := api.CheckJob(cfg, spec); err != nil {
+		api.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	key, err := resultcache.JobKey(cfg, spec, p.WarmupCycles, p.WindowCycles)
@@ -423,51 +416,29 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	s.sweep(w, r, "advise")
 }
 
-// sweep is the one sweep skeleton: look the kind up in the registry,
-// resolve its workload scope, content-address the sweep, run it with
-// the registry's local executor (api.Run) under admission control, and
-// serve the stored report bytes.
-func (s *Server) sweep(w http.ResponseWriter, r *http.Request, kindName string) {
-	k, err := api.KindByName(kindName)
-	if err != nil {
-		api.Error(w, http.StatusBadRequest, err)
-		return
-	}
+// sweep is the one sweep skeleton: resolve the request with the api
+// resolver (every client error is a 400 before anything runs), then
+// serve the whole-sweep cache entry, computing a miss with the one
+// executor and the local measure under admission control.
+func (s *Server) sweep(w http.ResponseWriter, r *http.Request, kind string) {
 	req, err := api.DecodeJobRequest(r)
 	if err != nil {
 		api.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	names, specs, err := k.Scope(req)
-	if err != nil {
-		api.Error(w, http.StatusBadRequest, err)
-		return
-	}
-	cfg, p, err := s.methodology(req)
-	if err != nil {
-		api.Error(w, http.StatusBadRequest, err)
-		return
-	}
-	// A request the kind cannot expand into a grid (a latency sweep on
-	// a fixed-latency config, a single-phase scenario) is the client's
-	// error, as it is at the coordinator, not a failed computation.
-	if _, err := k.Grid(cfg, specs); err != nil {
-		api.Error(w, http.StatusBadRequest, err)
-		return
-	}
-	key, err := resultcache.SweepKey(k.Name, cfg, specs, p.WarmupCycles, p.WindowCycles)
+	sw, err := api.Resolve(kind, req, nil, s.base, s.maxParallel, s.maxWindow)
 	if err != nil {
 		api.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	source := sourceMiss
-	val, hit, err := s.cache.GetOrCompute(key, func() ([]byte, error) {
-		if val, ok := s.peerFetch(r.Context(), key); ok {
+	val, hit, err := s.cache.GetOrCompute(sw.Key, func() ([]byte, error) {
+		if val, ok := s.peerFetch(r.Context(), sw.Key); ok {
 			source = sourcePeer
 			return val, nil
 		}
 		return s.runJob(r.Context(), func() ([]byte, error) {
-			rep, err := api.Run(context.Background(), k, cfg, specs, p)
+			rep, err := sw.Execute(context.Background(), api.Local)
 			if err != nil {
 				return nil, err
 			}
@@ -481,11 +452,7 @@ func (s *Server) sweep(w http.ResponseWriter, r *http.Request, kindName string) 
 	if hit {
 		source = sourceHit
 	}
-	writeEnvelope(w, source, Envelope{
-		Key: key, Kind: k.ResponseKind, Workloads: names,
-		WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles,
-		Report: val,
-	})
+	writeEnvelope(w, source, sw.Envelope(val))
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

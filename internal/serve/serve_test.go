@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/config"
 )
 
 // post sends a JSON body and returns (status, X-Cache, body).
@@ -265,6 +267,14 @@ func TestDrain(t *testing.T) {
 // TestRequestValidation: malformed submissions fail loudly with 400.
 func TestRequestValidation(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxWindowCycles: 5000})
+	// An inline architecture whose SMs cannot hold sc's 44 warps.
+	narrow := config.GTX480Baseline()
+	narrow.Core.MaxWarpsPerSM = 4
+	raw, err := json.Marshal(narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrowCfg := `"warmup_cycles":100,"window_cycles":300,"config":` + string(raw)
 	cases := map[string]struct {
 		path, body, want string
 	}{
@@ -288,6 +298,11 @@ func TestRequestValidation(t *testing.T) {
 		// fixed-latency request has no baseline to measure.
 		"latency on fixed latency": {"/v1/sweep/latency", `{"workloads":["sc"],"fixed_latency":100,"warmup_cycles":100,"window_cycles":300}`, "real memory hierarchy"},
 		"single-phase scenario":    {"/v1/sweep/scenarios", `{"workloads":["sc"],"warmup_cycles":100,"window_cycles":300}`, "single-phase"},
+		// A config that cannot hold a workload's warps is the client's
+		// error on every endpoint, rejected before anything simulates.
+		"run warp overflow":    {"/v1/run", `{"workload":"sc",` + narrowCfg + `}`, "wants 44 warps/SM, config allows 4"},
+		"sweep warp overflow":  {"/v1/sweep/bottleneck", `{"workloads":["sc"],` + narrowCfg + `}`, "wants 44 warps/SM, config allows 4"},
+		"advise warp overflow": {"/v1/sweep/advise", `{"workloads":["sc"],` + narrowCfg + `}`, "wants 44 warps/SM, config allows 4"},
 	}
 	for name, tc := range cases {
 		code, _, body := post(t, ts, tc.path, tc.body)

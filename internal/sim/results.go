@@ -219,15 +219,8 @@ func (g *GPU) Results() Results {
 		if dramTicks > 0 {
 			r.BackPressure.DRAMSchedInFull = float64(dramInFull) / float64(dramTicks)
 		}
-		// Every input queue of a crossbar samples once per tick, so
-		// the summed sampled-cycle count over inputs is the
-		// denominator of the per-queue full-cycle average.
-		if qc := sumSampled(g.reqX.InputUsages()); qc > 0 {
-			r.BackPressure.ReqIcntInFull = float64(rs.InFullCycles) / float64(qc)
-		}
-		if qc := sumSampled(g.respX.InputUsages()); qc > 0 {
-			r.BackPressure.RespIcntInFull = float64(ps.InFullCycles) / float64(qc)
-		}
+		r.BackPressure.ReqIcntInFull = fullFrac(g.reqX.InputUsages())
+		r.BackPressure.RespIcntInFull = fullFrac(g.respX.InputUsages())
 	}
 	return r
 }
@@ -241,6 +234,20 @@ func sumSampled(us []*stats.QueueUsage) int64 {
 		n += u.SampledCycles()
 	}
 	return n
+}
+
+// fullFrac is the share of a tracker family's sampled queue-cycles
+// spent at capacity: ΣFullCycles / ΣSampledCycles, the per-queue
+// average back pressure of a crossbar's inputs (0 if never sampled).
+func fullFrac(us []*stats.QueueUsage) float64 {
+	var full int64
+	for _, u := range us {
+		full += u.FullCycles()
+	}
+	if n := sumSampled(us); n > 0 {
+		return float64(full) / float64(n)
+	}
+	return 0
 }
 
 // statsUsage is a local alias to keep the aggregation helpers short.

@@ -27,7 +27,6 @@ type Stats struct {
 	IssueStalls   int64 // cycles with pending work but nothing issuable
 	ReturnStalls  int64 // cycles the return register was blocked
 	Refreshes     int64 // refresh operations performed
-	ActThrottles  int64 // activates deferred by tRRD/tFAW
 	// InFullCycles counts DRAM cycles the scheduler queue was full at
 	// tick time — the back pressure the channel exerts on its upstream
 	// (the L2 miss queue backs up behind a refused Push). It is one of
@@ -306,7 +305,6 @@ func (c *Channel) canIssue(co Coord, cycle int64) bool {
 			actAt += c.cfg.Timing.TRP // after the precharge
 		}
 		if !c.canActivate(actAt) {
-			c.stats.ActThrottles++
 			return false
 		}
 	}

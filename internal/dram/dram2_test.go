@@ -89,22 +89,62 @@ func TestRefreshDelaysAccess(t *testing.T) {
 	}
 }
 
+// cycleSink records the cycle each read is returned at.
+type cycleSink struct {
+	now int64
+	at  []int64
+}
+
+func (s *cycleSink) Accept(*mem.Request) bool {
+	s.at = append(s.at, s.now)
+	return true
+}
+
 func TestTFAWThrottlesActivates(t *testing.T) {
-	cfg := dcfg()
-	cfg.SchedQueue = 16
-	cfg.Timing.TFAW = 200 // absurdly long window to force throttling
-	sink := &sliceSink{}
-	ch := NewChannel(0, cfg, 128, 1, sink)
-	// Eight accesses to eight different banks, all needing activates.
-	for i := 0; i < 8; i++ {
-		ch.Push(load(uint64(i+1), uint64(i)*2048))
+	// Eight reads to eight banks, each needing an activate. Only four
+	// activates fit in a tFAW window, so the fifth through eighth
+	// cannot issue before the first activate + tFAW, and their reads
+	// return no earlier than that plus activate-to-data time.
+	returns := func(tfaw int64) ([]int64, config.DRAMConfig) {
+		cfg := dcfg()
+		cfg.SchedQueue = 16
+		cfg.Timing.TFAW = tfaw
+		sink := &cycleSink{}
+		ch := NewChannel(0, cfg, 128, 1, sink)
+		for i := 0; i < 8; i++ {
+			ch.Push(load(uint64(i+1), uint64(i)*2048))
+		}
+		for c := int64(0); c < 3000; c++ {
+			sink.now = c
+			ch.Tick(c)
+		}
+		if len(sink.at) != 8 {
+			t.Fatalf("tFAW %d: %d of 8 reads returned", tfaw, len(sink.at))
+		}
+		return sink.at, cfg
 	}
-	runCh(ch, 0, 3000)
-	if len(sink.got) != 8 {
-		t.Fatalf("reads lost under tFAW: %d", len(sink.got))
+	at, cfg := returns(200) // absurdly long window to force throttling
+	tm := cfg.Timing
+	actToData := tm.TRCD + tm.CL + cfg.BurstCycles(128)
+	// The idle channel activates the first read's bank on the first
+	// tick, which its return time shows.
+	const firstAct = 0
+	if at[0] != firstAct+actToData {
+		t.Fatalf("first read returned at %d, want %d (activate at %d)", at[0], firstAct+actToData, firstAct)
 	}
-	if ch.Stats().ActThrottles == 0 {
-		t.Fatalf("tFAW never throttled activates")
+	bound := firstAct + tm.TFAW + actToData
+	for i := 4; i < 8; i++ {
+		if at[i] < bound {
+			t.Errorf("read %d returned at %d, before first activate + tFAW allows (%d): %v", i+1, at[i], bound, at)
+		}
+	}
+	if at[3] >= bound {
+		t.Errorf("fourth read returned at %d: the first four activates fit in one tFAW window: %v", at[3], at)
+	}
+	// The bound is tFAW's doing: at the baseline window the fifth read
+	// returns well before it.
+	if base, _ := returns(dcfg().Timing.TFAW); base[4] >= bound {
+		t.Errorf("baseline tFAW %d: fifth read returned at %d, not before %d", dcfg().Timing.TFAW, base[4], bound)
 	}
 }
 

@@ -14,6 +14,7 @@ package icnt
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 	"repro/internal/queue"
@@ -56,18 +57,36 @@ type Stats struct {
 
 // Crossbar is an input-queued crossbar with per-output round-robin
 // arbitration over input heads.
+//
+// Arbitration never scans the inputs. Each output keeps a head mask,
+// a bitmask over inputs, and the invariant between calls is: bit i of
+// ports[o].mask is set exactly when input i is non-empty and its head
+// packet's Dst is o, and ports[o].heads counts those bits. Push sets a
+// bit when it fills an empty input; arbitrate clears the granted
+// input's bit and sets the bit of the packet that becomes its new
+// head. fullInputs likewise counts the inputs at capacity.
 type Crossbar struct {
 	cfg    Config
 	inputs []*queue.Queue[*mem.Packet]
-	// Per-output in-flight transfer state.
-	current   []*mem.Packet
-	remaining []int
-	rr        []int
-	sink      Sink
+	ports  []outPort
+	// fullInputs counts input buffers at capacity (AnyInputFull).
+	fullInputs int
+	sink       Sink
 	// busy counts packets buffered at inputs plus packets mid-transfer
 	// at outputs; zero means a tick has nothing to arbitrate or move.
 	busy  int
 	stats Stats
+}
+
+// outPort is one output's arbitration and transfer state.
+type outPort struct {
+	current   *mem.Packet // packet in transfer; nil when idle
+	remaining int         // flit cycles left on current
+	rr        int         // last input granted (round-robin pointer)
+	heads     int         // set bits in mask
+	// mask holds one bit per input whose head packet targets this
+	// output, in words of 64 inputs: port counts are not bounded by 64.
+	mask []uint64
 }
 
 // New builds a crossbar delivering into sink.
@@ -85,16 +104,19 @@ func New(cfg Config, sink Sink) *Crossbar {
 		cfg.Lanes = 1
 	}
 	c := &Crossbar{
-		cfg:       cfg,
-		inputs:    make([]*queue.Queue[*mem.Packet], cfg.Inputs),
-		current:   make([]*mem.Packet, cfg.Outputs),
-		remaining: make([]int, cfg.Outputs),
-		rr:        make([]int, cfg.Outputs),
+		cfg:    cfg,
+		inputs: make([]*queue.Queue[*mem.Packet], cfg.Inputs),
+		ports:  make([]outPort, cfg.Outputs),
+		sink:   sink,
 	}
 	for i := range c.inputs {
 		c.inputs[i] = queue.New[*mem.Packet](fmt.Sprintf("%s.in%d", cfg.Name, i), cfg.InputBuffer)
 	}
-	c.sink = sink
+	words := (cfg.Inputs + 63) / 64
+	masks := make([]uint64, cfg.Outputs*words)
+	for o := range c.ports {
+		c.ports[o].mask = masks[o*words : (o+1)*words : (o+1)*words]
+	}
 	return c
 }
 
@@ -108,12 +130,26 @@ func (c *Crossbar) Flits(bytes int) int {
 // Push injects a packet at input port src. A false return means the
 // input buffer is full; the caller stalls.
 func (c *Crossbar) Push(src int, pkt *mem.Packet) bool {
-	if ok := c.inputs[src].Push(pkt); !ok {
+	in := c.inputs[src]
+	if ok := in.Push(pkt); !ok {
 		c.stats.InputFullRejects++
 		return false
 	}
 	c.busy++
+	if in.Len() == 1 {
+		c.setHead(src, pkt.Dst)
+	}
+	if in.Full() {
+		c.fullInputs++
+	}
 	return true
+}
+
+// setHead records that input in's head packet targets output out.
+func (c *Crossbar) setHead(in, out int) {
+	p := &c.ports[out]
+	p.mask[in>>6] |= 1 << (in & 63)
+	p.heads++
 }
 
 // InputFree returns the free slots at input port src.
@@ -123,42 +159,33 @@ func (c *Crossbar) InputFree(src int) int { return c.inputs[src].Free() }
 // now — the crossbar is stalling at least one injector. The
 // stall-attribution engine reads it when charging SM memory-wait
 // cycles to a level.
-func (c *Crossbar) AnyInputFull() bool {
-	if c.busy == 0 {
-		return false
-	}
-	for _, in := range c.inputs {
-		if in.Full() {
-			return true
-		}
-	}
-	return false
-}
+func (c *Crossbar) AnyInputFull() bool { return c.fullInputs > 0 }
 
 // Tick advances the crossbar by one interconnect cycle.
 func (c *Crossbar) Tick(cycle int64) {
 	// With busy at zero no input holds a packet and no output a
 	// transfer, so the remaining outputs have nothing to arbitrate or
 	// move; an idle crossbar only samples its (empty) inputs.
-	for out := 0; c.busy > 0 && out < c.cfg.Outputs; out++ {
-		if c.current[out] == nil {
-			c.arbitrate(out)
+	for out := 0; c.busy > 0 && out < len(c.ports); out++ {
+		p := &c.ports[out]
+		if p.current == nil {
+			if p.heads == 0 {
+				continue
+			}
 			// The chosen packet starts transferring this cycle.
+			c.arbitrate(p)
 		}
-		if c.current[out] == nil {
-			continue
-		}
-		if c.remaining[out] > 0 {
-			c.remaining[out]--
+		if p.remaining > 0 {
+			p.remaining--
 			c.stats.Flits++
 			c.stats.BusyCycles++
 		}
-		if c.remaining[out] == 0 {
-			pkt := c.current[out]
+		if p.remaining == 0 {
+			pkt := p.current
 			pkt.ReadyAt = cycle + c.cfg.WireLatency
 			if c.sink.Accept(out, pkt) {
 				c.stats.Packets++
-				c.current[out] = nil
+				p.current = nil
 				c.busy--
 			} else {
 				c.stats.OutputStalls++
@@ -170,25 +197,39 @@ func (c *Crossbar) Tick(cycle int64) {
 	}
 }
 
-// arbitrate picks the next input whose head packet targets out,
-// starting after the last-served input (round robin).
-func (c *Crossbar) arbitrate(out int) {
-	n := c.cfg.Inputs
-	for k := 1; k <= n; k++ {
-		in := (c.rr[out] + k) % n
-		pkt, ok := c.inputs[in].Peek()
-		if !ok || pkt.Dst != out {
-			continue
-		}
-		// An input head can feed only one output; skip heads already
-		// being transferred is unnecessary because a popped packet
-		// leaves the queue immediately.
-		c.inputs[in].Pop()
-		c.current[out] = pkt
-		c.remaining[out] = c.Flits(pkt.SizeBytes)
-		c.rr[out] = in
-		return
+// arbitrate grants p, which has at least one head waiting, the first
+// input in its mask after the last-served one, wrapping round (round
+// robin), and moves that input's head packet into p's transfer slot.
+func (c *Crossbar) arbitrate(p *outPort) {
+	start := p.rr + 1
+	if start == c.cfg.Inputs {
+		start = 0
 	}
+	w := start >> 6
+	word := p.mask[w] &^ (1<<(start&63) - 1)
+	for word == 0 {
+		// heads > 0 guarantees a set bit; coming back round to the
+		// start word picks up the bits below start.
+		if w++; w == len(p.mask) {
+			w = 0
+		}
+		word = p.mask[w]
+	}
+	in := w<<6 + bits.TrailingZeros64(word)
+	p.mask[w] &^= 1 << (in & 63)
+	p.heads--
+
+	q := c.inputs[in]
+	if q.Full() {
+		c.fullInputs--
+	}
+	pkt, _ := q.Pop()
+	if next, ok := q.Peek(); ok {
+		c.setHead(in, next.Dst)
+	}
+	p.current = pkt
+	p.remaining = c.Flits(pkt.SizeBytes)
+	p.rr = in
 }
 
 // Stats returns a copy of the event counters.

@@ -204,7 +204,8 @@ type SM struct {
 	// drain is active, and no warp could issue — a state only a
 	// DeliverResponse can change. While idle, Tick takes the O(1)
 	// fast path that applies exactly the stat deltas a full tick
-	// would (Cycles, StallNoWarp, empty-queue samples).
+	// would (Cycles, StallNoWarp, its stall cause and the empty
+	// miss-queue sample).
 	idle bool
 
 	// sleepUntil is the hit-wait analogue of idle: every queue is
@@ -317,9 +318,6 @@ func (s *SM) MissLatency() *stats.Sampler { return s.missLat }
 // MissQueueUsage exposes the L1 miss-queue occupancy tracker.
 func (s *SM) MissQueueUsage() *stats.QueueUsage { return s.missQ.Usage() }
 
-// LDSTUsage exposes the memory-pipeline occupancy tracker.
-func (s *SM) LDSTUsage() *stats.QueueUsage { return s.ldstQ.Usage() }
-
 // Pending returns in-flight work items, for drain checks in tests.
 func (s *SM) Pending() int {
 	n := s.ldstQ.Len() + s.missQ.Len() + s.respQ.Len() + s.mshr.Used() + s.hitPipe.Len()
@@ -339,9 +337,7 @@ func (s *SM) Tick(cycle int64) {
 		s.stats.Cycles++
 		s.stats.StallNoWarp++
 		s.stalls.Add(s.stallCause())
-		s.ldstQ.Sample()
 		s.missQ.Sample()
-		s.respQ.Sample()
 		return
 	}
 	s.sleepUntil = 0
@@ -353,9 +349,7 @@ func (s *SM) Tick(cycle int64) {
 	s.drainMemInstr()
 	s.issue(cycle)
 
-	s.ldstQ.Sample()
 	s.missQ.Sample()
-	s.respQ.Sample()
 }
 
 // processResponses applies one fill per cycle: the L1 fill port.
@@ -719,8 +713,6 @@ func (s *SM) ResetStats() {
 	s.stalls.Reset()
 	s.l1.ResetStats()
 	s.mshr.ResetStats()
-	s.ldstQ.ResetUsage()
 	s.missQ.ResetUsage()
-	s.respQ.ResetUsage()
 	s.missLat.Reset()
 }

@@ -235,7 +235,7 @@ func TestMemPipelineWidthBoundsInFlight(t *testing.T) {
 	sm, be, _ := newTestSM(t, cfg, 1, script)
 	be.refuse = true
 	run(sm, 0, 100)
-	if got := sm.LDSTUsage().Capacity(); got != 2 {
+	if got := sm.ldstQ.Cap(); got != 2 {
 		t.Fatalf("ldst capacity = %d", got)
 	}
 	if sm.Stats().StallLDSTFull == 0 {

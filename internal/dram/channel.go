@@ -145,22 +145,8 @@ func (c *Channel) Pending() int {
 	return n
 }
 
-// Quiescent reports whether the channel has no queued, in-flight or
-// stuck access. A quiescent tick reduces to the refresh-timer check
-// and the scheduler-queue occupancy sample.
-func (c *Channel) Quiescent() bool {
-	return c.schedQ.Empty() && c.inflight.Empty() && c.stuck == nil
-}
-
 // Tick advances the channel by one DRAM cycle.
 func (c *Channel) Tick(cycle int64) {
-	if c.Quiescent() {
-		// Refresh timing marches on even with no traffic (tREFI is
-		// wall-clock), but completions and issue would both no-op.
-		c.refresh(cycle)
-		c.schedQ.Sample()
-		return
-	}
 	if c.schedQ.Full() {
 		c.stats.InFullCycles++
 	}

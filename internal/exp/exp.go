@@ -104,12 +104,3 @@ func Measure(cfg config.Config, wl workload.Workload, p RunParams) (sim.Results,
 	}
 	return r, nil
 }
-
-// MustMeasure is Measure for callers with pre-validated inputs.
-func MustMeasure(cfg config.Config, wl workload.Workload, p RunParams) sim.Results {
-	r, err := Measure(cfg, wl, p)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}

@@ -25,6 +25,8 @@ import (
 type Sink interface {
 	// Accept offers a packet to destination port dst; a false return
 	// means the destination buffer is full and the output must retry.
+	// pkt.ReadyAt arrives in interconnect cycles: a sink whose
+	// receiver runs on another clock converts it first.
 	Accept(dst int, pkt *mem.Packet) bool
 }
 
@@ -72,10 +74,7 @@ type Crossbar struct {
 	// fullInputs counts input buffers at capacity (AnyInputFull).
 	fullInputs int
 	sink       Sink
-	// busy counts packets buffered at inputs plus packets mid-transfer
-	// at outputs; zero means a tick has nothing to arbitrate or move.
-	busy  int
-	stats Stats
+	stats      Stats
 }
 
 // outPort is one output's arbitration and transfer state.
@@ -135,7 +134,6 @@ func (c *Crossbar) Push(src int, pkt *mem.Packet) bool {
 		c.stats.InputFullRejects++
 		return false
 	}
-	c.busy++
 	if in.Len() == 1 {
 		c.setHead(src, pkt.Dst)
 	}
@@ -163,10 +161,7 @@ func (c *Crossbar) AnyInputFull() bool { return c.fullInputs > 0 }
 
 // Tick advances the crossbar by one interconnect cycle.
 func (c *Crossbar) Tick(cycle int64) {
-	// With busy at zero no input holds a packet and no output a
-	// transfer, so the remaining outputs have nothing to arbitrate or
-	// move; an idle crossbar only samples its (empty) inputs.
-	for out := 0; c.busy > 0 && out < len(c.ports); out++ {
+	for out := range c.ports {
 		p := &c.ports[out]
 		if p.current == nil {
 			if p.heads == 0 {
@@ -186,7 +181,6 @@ func (c *Crossbar) Tick(cycle int64) {
 			if c.sink.Accept(out, pkt) {
 				c.stats.Packets++
 				p.current = nil
-				c.busy--
 			} else {
 				c.stats.OutputStalls++
 			}

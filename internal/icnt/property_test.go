@@ -126,7 +126,6 @@ type scanCrossbar struct {
 	remaining []int
 	rr        []int
 	sink      Sink
-	busy      int
 	stats     Stats
 }
 
@@ -150,12 +149,11 @@ func (c *scanCrossbar) Push(src int, pkt *mem.Packet) bool {
 		c.stats.InputFullRejects++
 		return false
 	}
-	c.busy++
 	return true
 }
 
 func (c *scanCrossbar) Tick(cycle int64) {
-	for out := 0; c.busy > 0 && out < c.cfg.Outputs; out++ {
+	for out := 0; out < c.cfg.Outputs; out++ {
 		if c.current[out] == nil {
 			c.arbitrate(out)
 		}
@@ -173,7 +171,6 @@ func (c *scanCrossbar) Tick(cycle int64) {
 			if c.sink.Accept(out, pkt) {
 				c.stats.Packets++
 				c.current[out] = nil
-				c.busy--
 			} else {
 				c.stats.OutputStalls++
 			}

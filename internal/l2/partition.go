@@ -87,7 +87,6 @@ type Partition struct {
 	nextID     *uint64   // simulation-wide request id counter (writebacks)
 	pool       *mem.Pool // request/packet recycling (nil: plain allocation)
 	stats      Stats
-	svcLatency *stats.Sampler // access-queue-entry → response latency
 }
 
 // New builds partition id. nextID is the shared request-id counter used
@@ -129,7 +128,6 @@ func New(id int, cfg config.Config, resp Injector, nextID *uint64) *Partition {
 		portCycles:    int64((ls + cfg.L2.DataPortBytes - 1) / cfg.L2.DataPortBytes),
 		lineShift:     uint(trailingZeros(ls)),
 		nextID:        nextID,
-		svcLatency:    stats.NewSampler(4096, 64),
 	}
 	p.chn = dram.NewChannel(id, cfg.DRAM, ls, cfg.L2.Partitions, retSink{p})
 	return p
@@ -191,25 +189,11 @@ func (p *Partition) RespUsage() *stats.QueueUsage { return p.respQ.Usage() }
 // ReturnUsage exposes the DRAM return queue tracker.
 func (p *Partition) ReturnUsage() *stats.QueueUsage { return p.retQ.Usage() }
 
-// ServiceLatency samples cycles from access-queue arrival to response
-// injection for L2-serviced requests.
-func (p *Partition) ServiceLatency() *stats.Sampler { return p.svcLatency }
-
 // Pending returns in-flight work, for drain checks in tests.
 func (p *Partition) Pending() int {
 	return p.accessQ.Len() + p.missQ.Len() + p.respQ.Len() + p.retQ.Len() +
 		p.pendingResp.Len() + p.hitPipe.Len() + p.fillPipe.Len() +
 		p.mshr.Used() + p.chn.Pending()
-}
-
-// Quiescent reports whether the partition has no work a tick could
-// advance: every queue, pipe and staging buffer is empty. (L2 MSHR
-// entries don't count — their fills arrive through the return queue,
-// which is checked.) A quiescent tick only samples occupancies.
-func (p *Partition) Quiescent() bool {
-	return p.accessQ.Empty() && p.missQ.Empty() && p.respQ.Empty() &&
-		p.retQ.Empty() && p.pendingResp.Empty() &&
-		p.hitPipe.Empty() && p.fillPipe.Empty()
 }
 
 // bankFor maps a line address to a bank.
@@ -218,16 +202,8 @@ func (p *Partition) bankFor(lineAddr uint64) int {
 }
 
 // Tick advances the partition by one L2 cycle. The DRAM channel ticks
-// separately in its own domain. A quiescent partition only samples
-// its (empty) queues — the stages below would all no-op.
+// separately in its own domain.
 func (p *Partition) Tick(cycle int64) {
-	if p.Quiescent() {
-		p.accessQ.Sample()
-		p.missQ.Sample()
-		p.respQ.Sample()
-		p.retQ.Sample()
-		return
-	}
 	if p.accessQ.Full() {
 		p.stats.InFullCycles++
 	}
@@ -258,7 +234,6 @@ func (p *Partition) completeHits(cycle int64) {
 			p.stats.StallRespQ++
 			return
 		}
-		p.svcLatency.Add(float64(cycle - op.pkt.ReadyAt)) // ReadyAt reused as arrival mark
 		p.hitPipe.Pop()
 	}
 }
@@ -388,9 +363,6 @@ func (p *Partition) processAccesses(cycle int64) {
 			*rp = mem.Packet{
 				Req: req, IsResponse: true, Src: p.id, Dst: req.CoreID,
 				SizeBytes: mem.ResponsePacketBytes(req),
-				// ReadyAt doubles as the arrival mark for service
-				// latency; the injector re-stamps it on delivery.
-				ReadyAt: cycle,
 			}
 			p.bankBusyUntil[bank] = cycle + p.portCycles
 			p.hitPipe.Push(pipeOp{doneAt: cycle + p.cfg.L2.HitLatency + p.portCycles, pkt: rp})
@@ -489,8 +461,8 @@ func (p *Partition) injectResponses() {
 	p.respQ.Pop()
 }
 
-// ResetStats zeroes every partition counter, queue tracker and the
-// service-latency sampler for a new measurement window. Architectural
+// ResetStats zeroes every partition counter and queue tracker for a
+// new measurement window. Architectural
 // state (tags, MSHRs, queue contents) is untouched.
 func (p *Partition) ResetStats() {
 	p.stats = Stats{}
@@ -500,6 +472,5 @@ func (p *Partition) ResetStats() {
 	p.missQ.ResetUsage()
 	p.respQ.ResetUsage()
 	p.retQ.ResetUsage()
-	p.svcLatency.Reset()
 	p.chn.ResetStats()
 }

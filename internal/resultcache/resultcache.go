@@ -51,7 +51,10 @@ import (
 // entries produced by older code can never be served as current.
 // v2: config.Config grew the Policy fields (mitigation seams), which
 // changes the key material for every config.
-const CodeVersion = "gpgpumem-results-v2"
+// v3: crossbar ReadyAt stamps are converted to the receiver's clock,
+// which moves every result whose interconnect clock differs from the
+// L2 or core clock.
+const CodeVersion = "gpgpumem-results-v3"
 
 // Options configures a Cache.
 type Options struct {

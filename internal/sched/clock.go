@@ -1,8 +1,8 @@
 // Package sched holds the simulator's timing primitives: exact
 // rational clock-domain arithmetic (Domain), which tells sim.GPU.Step
 // how many ticks each derived clock domain owes per core cycle, and a
-// hierarchical timing wheel (Wheel), which schedules the fixed-latency
-// backend's deliveries.
+// sorted due list (Wheel), which schedules the fixed-latency backend's
+// deliveries.
 package sched
 
 // Domain tracks one derived clock domain advanced in rational

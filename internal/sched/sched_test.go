@@ -55,87 +55,120 @@ func TestDomainAdvanceMatchesPerCycleLoop(t *testing.T) {
 	}
 }
 
+// refWheel is the brute-force reference: an unsorted list of
+// (cycle, insertion seq) pairs, scanned in full on every pop.
+type refWheel struct {
+	base int64
+	seq  int64
+	live []refEntry
+}
+
+type refEntry struct {
+	cycle, seq int64
+	id         int32
+}
+
+func (r *refWheel) schedule(cycle int64, id int32) {
+	if cycle < r.base {
+		cycle = r.base
+	}
+	r.live = append(r.live, refEntry{cycle, r.seq, id})
+	r.seq++
+}
+
+// popDue returns every entry at or before now ordered by (cycle, seq).
+func (r *refWheel) popDue(now int64) []int32 {
+	var due, kept []refEntry
+	for _, e := range r.live {
+		if e.cycle <= now {
+			due = append(due, e)
+		} else {
+			kept = append(kept, e)
+		}
+	}
+	r.live = kept
+	sort.Slice(due, func(i, j int) bool {
+		if due[i].cycle != due[j].cycle {
+			return due[i].cycle < due[j].cycle
+		}
+		return due[i].seq < due[j].seq
+	})
+	ids := make([]int32, len(due))
+	for i, e := range due {
+		ids[i] = e.id
+	}
+	if now >= r.base {
+		r.base = now + 1
+	}
+	return ids
+}
+
 // TestWheelAgainstSortedReference drives random schedule/pop traffic
-// through the wheel and a sorted-slice reference, comparing Earliest
-// and the popped multisets at every step. Cycles are drawn across all
-// three ranges (level 0, level 1, overflow).
+// through the wheel and the brute-force reference and requires the
+// exact pop sequence — earliest cycle first, FIFO within a cycle — at
+// every step. Schedules land in the past (clamped to the base), at the
+// base, in dense near-term bursts that share cycles, and at horizons
+// up to 10^6 cycles; time sometimes jumps past all of them.
 func TestWheelAgainstSortedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var w Wheel
-	var ref []entry
+	var ref refWheel
 	now := int64(0)
 	buf := make([]int32, 0, 64)
-	for step := 0; step < 5000; step++ {
-		// Schedule a burst at mixed horizons.
-		for n := rng.Intn(4); n > 0; n-- {
-			var d int64
-			switch rng.Intn(3) {
+	for step := 0; step < 20000; step++ {
+		for n := rng.Intn(5); n > 0; n-- {
+			var c int64
+			switch rng.Intn(4) {
 			case 0:
-				d = int64(rng.Intn(l0Size))
+				c = now - int64(rng.Intn(50)) // past: clamps
 			case 1:
-				d = int64(rng.Intn(wheelSpan))
+				c = now + int64(rng.Intn(4)) // shared near-term cycles
+			case 2:
+				c = now + int64(rng.Intn(300))
 			default:
-				d = int64(rng.Intn(3 * wheelSpan))
+				c = now + int64(rng.Intn(1_000_000))
 			}
-			c := now + d
-			id := int32(rng.Intn(100))
+			id := int32(rng.Intn(1000))
 			w.Schedule(c, id)
-			ref = append(ref, entry{c, id})
+			ref.schedule(c, id)
 		}
-		if w.Len() != len(ref) {
-			t.Fatalf("step %d: Len=%d, want %d", step, w.Len(), len(ref))
+		if w.Len() != len(ref.live) {
+			t.Fatalf("step %d: Len=%d, want %d", step, w.Len(), len(ref.live))
 		}
-		wantMin := NoEvent
-		for _, e := range ref {
-			if e.cycle < wantMin {
-				wantMin = e.cycle
-			}
-		}
-		if got, ok := w.Earliest(); (ok && got != wantMin) || (!ok && wantMin != NoEvent) {
-			t.Fatalf("step %d: Earliest=%d ok=%v, want %d", step, got, ok, wantMin)
-		}
-		// Advance time, sometimes jumping far past the wheel span.
-		jump := int64(rng.Intn(40))
-		if rng.Intn(20) == 0 {
-			jump = int64(rng.Intn(2 * wheelSpan))
+		jump := int64(rng.Intn(8))
+		if rng.Intn(500) == 0 {
+			jump = int64(rng.Intn(2_000_000))
 		}
 		now += jump
 		buf = w.PopDue(now, buf[:0])
-		var wantIDs []int32
-		kept := ref[:0]
-		for _, e := range ref {
-			if e.cycle <= now {
-				wantIDs = append(wantIDs, e.id)
-			} else {
-				kept = append(kept, e)
-			}
+		want := ref.popDue(now)
+		if len(buf) != len(want) {
+			t.Fatalf("step %d (now=%d): popped %v, want %v", step, now, buf, want)
 		}
-		ref = kept
-		got := append([]int32(nil), buf...)
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		sort.Slice(wantIDs, func(i, j int) bool { return wantIDs[i] < wantIDs[j] })
-		if len(got) != len(wantIDs) {
-			t.Fatalf("step %d (now=%d): popped %d ids, want %d", step, now, len(got), len(wantIDs))
-		}
-		for i := range got {
-			if got[i] != wantIDs[i] {
-				t.Fatalf("step %d (now=%d): popped multiset %v, want %v", step, now, got, wantIDs)
+		for i := range want {
+			if buf[i] != want[i] {
+				t.Fatalf("step %d (now=%d): popped %v, want %v", step, now, buf, want)
 			}
 		}
 		now++
 	}
 }
 
-// TestWheelPopOrderWithinCycleRange: pops come earliest-cycle-first,
-// and a pop never returns entries beyond now.
+// TestWheelPopOrderEarliestFirst: pops come earliest-cycle-first and
+// FIFO within a cycle, a pop never returns entries beyond now, and a
+// past schedule clamps to the present.
 func TestWheelPopOrderEarliestFirst(t *testing.T) {
 	var w Wheel
 	w.Schedule(300, 3)
 	w.Schedule(10, 1)
-	w.Schedule(70000, 4)
+	w.Schedule(70000, 5)
 	w.Schedule(150, 2)
+	w.Schedule(300, 4)
+	if got := w.PopDue(9, nil); len(got) != 0 {
+		t.Fatalf("PopDue(9) = %v, want nothing", got)
+	}
 	buf := w.PopDue(70000, nil)
-	want := []int32{1, 2, 3, 4}
+	want := []int32{1, 2, 3, 4, 5}
 	if len(buf) != len(want) {
 		t.Fatalf("popped %v, want %v", buf, want)
 	}
@@ -147,9 +180,54 @@ func TestWheelPopOrderEarliestFirst(t *testing.T) {
 	if w.Len() != 0 {
 		t.Fatalf("wheel not empty after draining: %d", w.Len())
 	}
-	// Past schedules clamp to the present.
+	// Past schedules clamp to the present: due at 70001, not before.
 	w.Schedule(5, 9)
-	if c, ok := w.Earliest(); !ok || c != 70001 {
-		t.Fatalf("clamped entry: Earliest=%d ok=%v, want 70001", c, ok)
+	if got := w.PopDue(70000, nil); len(got) != 0 {
+		t.Fatalf("clamped entry popped at 70000: %v", got)
+	}
+	if got := w.PopDue(70001, nil); len(got) != 1 || got[0] != 9 {
+		t.Fatalf("clamped entry: PopDue(70001) = %v, want [9]", got)
+	}
+}
+
+// TestWheelSteadyStateAllocatesNothing: after Preallocate(n), filling
+// the wheel to n entries and then a schedule/pop cycle that keeps at
+// most n entries live allocate nothing — the fixed-latency backend's
+// one-hint-per-SM pattern.
+func TestWheelSteadyStateAllocatesNothing(t *testing.T) {
+	const n = 16
+	// AllocsPerRun calls the function once more than it counts, so
+	// each call fills its own freshly preallocated wheel.
+	wheels := make([]Wheel, 2)
+	for i := range wheels {
+		wheels[i].Preallocate(n)
+	}
+	next := 0
+	fill := testing.AllocsPerRun(1, func() {
+		w := &wheels[next]
+		next++
+		for id := int32(0); id < n; id++ {
+			w.Schedule(int64(id%5), id)
+		}
+	})
+	if fill != 0 {
+		t.Fatalf("filling a preallocated wheel allocates %.1f times, want 0", fill)
+	}
+
+	w := &wheels[1]
+	buf := make([]int32, 0, n)
+	now := int64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		buf = w.PopDue(now, buf[:0])
+		for _, id := range buf {
+			w.Schedule(now+1+int64(id%7), id)
+		}
+		now++
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Schedule/PopDue allocates %.1f per cycle, want 0", allocs)
+	}
+	if w.Len() != n {
+		t.Fatalf("Len=%d, want %d", w.Len(), n)
 	}
 }

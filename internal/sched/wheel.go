@@ -1,216 +1,67 @@
 package sched
 
-import "math/bits"
-
-// NoEvent is the Earliest sentinel for an empty wheel: no scheduled
-// cycle. It is far beyond any reachable simulation cycle.
-const NoEvent = int64(^uint64(0) >> 1)
-
-const (
-	l0Bits = 8
-	l0Size = 1 << l0Bits // 256 one-cycle slots
-	l1Size = 1 << l0Bits // 256 slots of 256 cycles each
-	l0Mask = l0Size - 1
-	l1Mask = l1Size - 1
-	// wheelSpan is the horizon the two levels cover from base;
-	// entries beyond it go to the overflow list.
-	wheelSpan = l0Size * l1Size
-)
-
 // entry is one scheduled id.
 type entry struct {
 	cycle int64
 	id    int32
 }
 
-// Wheel is a two-level hierarchical timing wheel over absolute
-// cycles, used to schedule delivery events (e.g. the fixed-latency
-// backend's response due-times) without scanning every pending item
-// per cycle. Level 0 holds the next 256 cycles at single-cycle
-// granularity, level 1 the next ~64k cycles at 256-cycle granularity,
-// and a small overflow list anything beyond; per-level occupancy
-// bitmaps keep the earliest-event query to a few word scans, and the
-// result is cached so the steady-state query is O(1).
-//
-// Entries are never migrated between levels: a level-1 slot can hold
-// cycles from several 256-cycle windows as the base advances, so pops
-// filter by exact cycle and the earliest query takes the minimum
-// across levels rather than trusting slot order alone. Entries
-// scheduled for the same cycle pop in insertion order within a slot
-// but in level order (overflow, then level 1, then level 0) across
-// levels — callers treating entries as idempotent "attention due"
-// hints (as the fixed-latency backend does) are insensitive to that.
+// Wheel is a due list over absolute cycles, used to schedule delivery
+// events (the fixed-latency backend's response due-times) without
+// scanning every pending item per cycle. Entries are kept sorted by
+// cycle, FIFO within a cycle, so PopDue takes a prefix. Its callers
+// keep at most one entry per SM live, so the insertion shift is short.
 //
 // The zero value is an empty wheel based at cycle 0.
 type Wheel struct {
-	base  int64 // every live entry has cycle >= base
-	l0    [l0Size][]entry
-	l1    [l1Size][]entry
-	l0map [l0Size / 64]uint64
-	l1map [l1Size / 64]uint64
-	over  []entry
-	count int
-
-	// earliest caches the minimum live cycle (NoEvent when empty):
-	// O(1) to maintain on Schedule, recomputed only when a pop
-	// removes the current minimum.
-	earliest int64
+	base int64   // every live entry has cycle >= base
+	due  []entry // sorted by cycle, insertion order within a cycle
 }
 
 // Len returns the number of live entries.
-func (w *Wheel) Len() int { return w.count }
+func (w *Wheel) Len() int { return len(w.due) }
 
-// Preallocate gives every level-0 slot capacity for perSlot entries,
-// carved from one backing array (a single allocation). Callers whose
-// peak same-cycle occupancy is known and small (the fixed-latency
-// backend schedules at most one hint per SM) use it to keep the
-// steady state allocation-free: without it each of the 256 slots
-// grows toward its high-water mark individually, a long tail of
-// appends. A slot pushed past perSlot falls back to append growth.
-// Must be called before the first Schedule.
-func (w *Wheel) Preallocate(perSlot int) {
-	if w.count != 0 {
+// Preallocate gives the wheel capacity for n live entries, so a caller
+// that never holds more (the fixed-latency backend holds at most one
+// per SM) schedules and pops without allocating. Must be called
+// before the first Schedule.
+func (w *Wheel) Preallocate(n int) {
+	if len(w.due) != 0 {
 		panic("sched: Preallocate on a non-empty wheel")
 	}
-	backing := make([]entry, l0Size*perSlot)
-	for s := range w.l0 {
-		w.l0[s] = backing[s*perSlot : s*perSlot : (s+1)*perSlot]
-	}
+	w.due = make([]entry, 0, n)
 }
 
 // Schedule adds id at the given absolute cycle. Cycles before the
-// base are clamped to it: the entry pops on the next PopDue. Callers
-// should keep the base fresh by calling PopDue every cycle they could
-// Schedule (a no-op call on an empty wheel just advances the base) —
-// a stale base pushes near-term entries into the coarse levels, which
-// is correct but slower and grows their slots.
+// base are clamped to it: the entry pops on the next PopDue.
 func (w *Wheel) Schedule(cycle int64, id int32) {
 	if cycle < w.base {
 		cycle = w.base
 	}
-	if w.count == 0 || cycle < w.earliest {
-		w.earliest = cycle
+	// Insert after every entry at or before cycle (FIFO within it).
+	i := len(w.due)
+	for i > 0 && w.due[i-1].cycle > cycle {
+		i--
 	}
-	w.count++
-	switch d := cycle - w.base; {
-	case d < l0Size:
-		s := cycle & l0Mask
-		w.l0[s] = append(w.l0[s], entry{cycle, id})
-		w.l0map[s>>6] |= 1 << uint(s&63)
-	case d < wheelSpan:
-		s := (cycle >> l0Bits) & l1Mask
-		w.l1[s] = append(w.l1[s], entry{cycle, id})
-		w.l1map[s>>6] |= 1 << uint(s&63)
-	default:
-		w.over = append(w.over, entry{cycle, id})
-	}
-}
-
-// Earliest returns the minimum scheduled cycle, or NoEvent with
-// ok=false when the wheel is empty.
-func (w *Wheel) Earliest() (int64, bool) {
-	if w.count == 0 {
-		return NoEvent, false
-	}
-	return w.earliest, true
+	w.due = append(w.due, entry{})
+	copy(w.due[i+1:], w.due[i:])
+	w.due[i] = entry{cycle, id}
 }
 
 // PopDue appends to buf the ids of every entry scheduled at or before
-// now (earliest cycle first) and advances the wheel base to now+1,
-// then returns the extended buffer.
+// now (earliest cycle first, FIFO within a cycle) and advances the
+// wheel base to now+1, then returns the extended buffer.
 func (w *Wheel) PopDue(now int64, buf []int32) []int32 {
-	for w.count > 0 && w.earliest <= now {
-		buf = w.popAt(w.earliest, buf)
-		w.recomputeEarliest()
+	n := 0
+	for n < len(w.due) && w.due[n].cycle <= now {
+		buf = append(buf, w.due[n].id)
+		n++
+	}
+	if n > 0 {
+		w.due = w.due[:copy(w.due, w.due[n:])]
 	}
 	if now >= w.base {
 		w.base = now + 1
 	}
 	return buf
-}
-
-// popAt removes every entry at exactly cycle c, appending ids to buf.
-// c is the current minimum, and all three levels may hold entries for
-// it (level-1 and overflow entries age into level-0 range without
-// migrating).
-func (w *Wheel) popAt(c int64, buf []int32) []int32 {
-	if len(w.over) > 0 {
-		buf, w.over = w.popCycle(c, w.over, buf)
-	}
-	if c-w.base < wheelSpan {
-		s := (c >> l0Bits) & l1Mask
-		if len(w.l1[s]) > 0 {
-			buf, w.l1[s] = w.popCycle(c, w.l1[s], buf)
-			if len(w.l1[s]) == 0 {
-				w.l1map[s>>6] &^= 1 << uint(s&63)
-			}
-		}
-	}
-	if c-w.base < l0Size {
-		s := c & l0Mask
-		// A level-0 slot holds exactly one cycle value (the slot's
-		// unique cycle within [base, base+256)), so take it whole.
-		for _, e := range w.l0[s] {
-			buf = append(buf, e.id)
-		}
-		w.count -= len(w.l0[s])
-		w.l0[s] = w.l0[s][:0]
-		w.l0map[s>>6] &^= 1 << uint(s&63)
-	}
-	return buf
-}
-
-// popCycle filters the entries at cycle c out of list (preserving the
-// order of the rest), appending their ids to buf and updating the
-// live count.
-func (w *Wheel) popCycle(c int64, list []entry, buf []int32) ([]int32, []entry) {
-	kept := list[:0]
-	for _, e := range list {
-		if e.cycle == c {
-			buf = append(buf, e.id)
-			w.count--
-		} else {
-			kept = append(kept, e)
-		}
-	}
-	return buf, kept
-}
-
-// recomputeEarliest rescans for the minimum live cycle after a pop.
-// Cost is proportional to occupied slots (bitmap-guided), paid once
-// per popped cycle, not per simulated cycle.
-func (w *Wheel) recomputeEarliest() {
-	min := NoEvent
-	for word, bm := range w.l0map {
-		for bm != 0 {
-			s := word*64 + bits.TrailingZeros64(bm)
-			bm &= bm - 1
-			if c := w.slotCycle(s); c < min {
-				min = c
-			}
-		}
-	}
-	for word, bm := range w.l1map {
-		for bm != 0 {
-			s := word*64 + bits.TrailingZeros64(bm)
-			bm &= bm - 1
-			for _, e := range w.l1[s] {
-				if e.cycle < min {
-					min = e.cycle
-				}
-			}
-		}
-	}
-	for _, e := range w.over {
-		if e.cycle < min {
-			min = e.cycle
-		}
-	}
-	w.earliest = min
-}
-
-// slotCycle reconstructs the unique cycle in [base, base+256) that
-// maps to level-0 slot s.
-func (w *Wheel) slotCycle(s int) int64 {
-	return w.base + ((int64(s) - w.base) & l0Mask)
 }

@@ -8,11 +8,10 @@ import (
 )
 
 // burstySpec alternates a dense memory burst (queues saturate) with a
-// long compute-heavy quiet phase (queues drain, components quiesce) —
-// the worst case for the quiescent fast paths' statistics: if a
-// fast-pathed tick were dropped from any queue's sampled-cycle
-// denominator, this workload's back-pressure fractions would inflate
-// toward the burst-only value.
+// long compute-heavy quiet phase (queues drain, components idle) —
+// the worst case for idle-tick statistics: if an idle tick were
+// dropped from any queue's sampled-cycle denominator, this workload's
+// back-pressure fractions would inflate toward the burst-only value.
 const burstySpec = `{
   "name":"bursty","warps":8,"dep_dist":1,"shared":true,
   "phases":[
@@ -32,8 +31,8 @@ func parseBursty(t *testing.T) workload.Spec {
 }
 
 // TestBackPressureDenominatorsCountIdleTicks: every level's
-// back-pressure denominator is its full tick count — quiescent
-// (fast-pathed) ticks included as not-full samples — so the reported
+// back-pressure denominator is its full tick count — idle ticks
+// included as not-full samples — so the reported
 // fractions are "share of the whole window", not "share of busy
 // cycles". A bursty workload makes the distinction visible: its queues
 // are saturated during bursts and empty between them, and dropping the

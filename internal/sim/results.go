@@ -116,6 +116,7 @@ func (g *GPU) Results() Results {
 	var missLatSum float64
 	var missLatN int64
 	var p95Max float64
+	var l1MissU agg
 
 	for _, sm := range g.sms {
 		st := sm.Stats()
@@ -138,6 +139,7 @@ func (g *GPU) Results() Results {
 		r.L1.Misses += cs.Misses
 		r.L1.HitsReserved += cs.HitsReserved
 		r.L1.ReservationFails += cs.ReservationFails
+		l1MissU.add(sm.MissQueueUsage())
 
 		ml := sm.MissLatency()
 		missLatSum += ml.Mean() * float64(ml.Count())
@@ -156,15 +158,10 @@ func (g *GPU) Results() Results {
 		r.AvgMissLatency = missLatSum / float64(missLatN)
 	}
 	r.P95MissLatency = p95Max
-
-	r.L1MissQueue = g.aggregateSMQueue(func(i int) *statsUsage { return usage(g.sms[i].MissQueueUsage()) })
+	r.L1MissQueue = l1MissU.occ()
 
 	if len(g.parts) > 0 {
-		accessU := newAgg()
-		missU := newAgg()
-		respU := newAgg()
-		retU := newAgg()
-		schedU := newAgg()
+		var accessU, missU, respU, retU, schedU agg
 		var dramTicks, busBusy int64
 		var rowHits, rowTotal int64
 		var l2Ticks, l2InFull, dramInFull int64
@@ -250,18 +247,11 @@ func fullFrac(us []*stats.QueueUsage) float64 {
 	return 0
 }
 
-// statsUsage is a local alias to keep the aggregation helpers short.
-type statsUsage = stats.QueueUsage
-
-func usage(u *stats.QueueUsage) *statsUsage { return u }
-
 // agg folds queue trackers of the same family together.
 type agg struct {
 	merged *stats.QueueUsage
 	cap    int
 }
-
-func newAgg() *agg { return &agg{} }
 
 func (a *agg) add(u *stats.QueueUsage) {
 	if a.merged == nil {
@@ -280,15 +270,6 @@ func (a *agg) occ() QueueOcc {
 		MeanOccupancy: a.merged.MeanOccupancy(),
 		Capacity:      a.cap,
 	}
-}
-
-// aggregateSMQueue folds one per-SM queue family.
-func (g *GPU) aggregateSMQueue(get func(i int) *statsUsage) QueueOcc {
-	a := newAgg()
-	for i := range g.sms {
-		a.add(get(i))
-	}
-	return a.occ()
 }
 
 // String renders a human-readable report.

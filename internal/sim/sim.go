@@ -6,8 +6,8 @@
 //
 // # Hot-path invariants
 //
-// The simulator allocates nothing in steady state and spends O(1) on
-// provably frozen components:
+// The simulator allocates nothing in steady state, and every statistic
+// of a level comes from that level's one Tick:
 //
 //   - All mem.Request and mem.Packet values are drawn from one
 //     per-GPU free-list pool (mem.Pool) and recycled at their
@@ -16,17 +16,25 @@
 //     which ticks every component on every cycle of its clock domain
 //     (sched.Domain turns each core cycle into the exact number of
 //     DRAM, L2 and interconnect ticks).
-//   - Each component's Tick has a quiescent early-out that applies
-//     exactly the statistics a full tick would have produced and
-//     skips the work: an SM that is idle (only a response delivery
-//     wakes it) or hit-waiting short of its oldest in-flight L1 hit
-//     charges the cycle, a no-warp stall, its stall cause and
-//     empty-queue samples; a DRAM channel with nothing queued, in
-//     flight or stuck runs only its refresh timer and samples its
-//     scheduler queue; an L2 partition with empty queues and pipes
-//     samples its queues; an empty crossbar samples its inputs. In
-//     Fig. 1 mode the fixed-latency backend visits only SMs with a
-//     due delivery, found on a hierarchical timing wheel (sched.Wheel).
+//   - Below the L1 there is one tick path. A DRAM channel, L2
+//     partition or crossbar with nothing to do runs its full Tick,
+//     whose stages each return at once on empty queues; no early-out
+//     replays its statistics.
+//   - The SM's frozen path is the one fast path, kept because it is
+//     measured to pay: with it disabled, gpusim on sc, cfd, nn and
+//     lbm at a fixed 2000-cycle latency used about 10% more CPU
+//     (2-vCPU Xeon at 2.1 GHz). An SM that is idle (only a response
+//     delivery wakes it) or hit-waiting short of its oldest in-flight
+//     L1 hit charges the cycle, a no-warp stall, its stall cause and
+//     the empty miss-queue sample, and skips the rest. The SM selects
+//     it from state it observes itself, and each side of that choice
+//     has its workload: over the 8-benchmark suite, 28% of SM ticks
+//     are frozen at a fixed 2000-cycle latency, 0.1% in real memory.
+//   - Crossbars stamp a delivered packet's ReadyAt in interconnect
+//     cycles; the sinks convert it to the receiver's clock (L2 or
+//     core), so a clock ratio other than 1 keeps the wire latency.
+//   - In Fig. 1 mode the fixed-latency backend visits only SMs with a
+//     due delivery, found on a sorted due list (sched.Wheel).
 //
 // Determinism is unaffected: a GPU instance owns all of its state, so
 // reports are bit-identical at any experiment-engine parallelism, and
@@ -69,9 +77,9 @@
 //     fixed-latency mode, which has no hierarchy to congest).
 //
 // The refinement is computed lazily, at most once per core cycle
-// (memStallCause), and the SM's quiescent early-out charges its cycle
-// to the same cause a full tick would, so attribution respects both
-// the allocation budget and the fast paths above. The sum of
+// (memStallCause), and the SM's frozen path charges its cycle to the
+// same cause a full tick would, so attribution respects both the
+// allocation budget and the fast path above. The sum of
 // a breakdown's categories is exactly the SM's cycle count; merged
 // GPU-wide it is cycles × SMs, an invariant the sim tests enforce for
 // every built-in workload.
@@ -181,15 +189,37 @@ func New(cfg config.Config, wl workload.Workload) (*GPU, error) {
 	return g, nil
 }
 
-// reqSink delivers request packets into L2 access queues.
+// reqSink delivers request packets into L2 access queues. The
+// crossbar stamps ReadyAt in interconnect cycles; the access queue
+// reads it in L2 cycles.
 type reqSink struct{ g *GPU }
 
-func (s reqSink) Accept(dst int, pkt *mem.Packet) bool { return s.g.parts[dst].Accept(pkt) }
+func (s reqSink) Accept(dst int, pkt *mem.Packet) bool {
+	clk := s.g.cfg.Clock
+	pkt.ReadyAt = rescale(pkt.ReadyAt, clk.L2MHz, clk.IcntMHz)
+	return s.g.parts[dst].Accept(pkt)
+}
 
-// respSink delivers response packets into SM response queues.
+// respSink delivers response packets into SM response queues, whose
+// ReadyAt is read in core cycles.
 type respSink struct{ g *GPU }
 
-func (s respSink) Accept(dst int, pkt *mem.Packet) bool { return s.g.sms[dst].DeliverResponse(pkt) }
+func (s respSink) Accept(dst int, pkt *mem.Packet) bool {
+	clk := s.g.cfg.Clock
+	pkt.ReadyAt = rescale(pkt.ReadyAt, clk.CoreMHz, clk.IcntMHz)
+	return s.g.sms[dst].DeliverResponse(pkt)
+}
+
+// rescale converts cycle c of a clock at fromMHz to the first cycle of
+// a clock at toMHz at or after the same instant: ceil(c·to/from). It
+// is the identity when the clocks match.
+func rescale(c int64, toMHz, fromMHz int) int64 {
+	if toMHz == fromMHz {
+		return c
+	}
+	to, from := int64(toMHz), int64(fromMHz)
+	return (c*to + from - 1) / from
+}
 
 // realBackend routes L1 misses into the request crossbar.
 type realBackend struct {
@@ -285,7 +315,7 @@ func (b *fixedBackend) SendMiss(req *mem.Request) bool {
 	}
 	if b.pending == nil {
 		b.pending = make([]queue.Ring[*mem.Packet], len(b.gpu.sms))
-		// One hint per SM bounds same-cycle wheel occupancy.
+		// One hint per SM bounds wheel occupancy.
 		b.wheel.Preallocate(len(b.gpu.sms))
 	}
 	pkt := b.gpu.pool.GetPacket()
@@ -308,8 +338,7 @@ func (b *fixedBackend) SendMiss(req *mem.Request) bool {
 // is irrelevant (disjoint response queues).
 func (b *fixedBackend) tick(cycle int64) {
 	// Called unconditionally (even with nothing scheduled): PopDue on
-	// an empty wheel just advances its base, which keeps subsequent
-	// Schedules in the fine-grained level-0 range.
+	// an empty wheel just advances its base, the clamp for Schedule.
 	b.dueBuf = b.wheel.PopDue(cycle, b.dueBuf[:0])
 	for _, smID := range b.dueBuf {
 		q := &b.pending[smID]

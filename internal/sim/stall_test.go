@@ -13,9 +13,9 @@ import (
 // every SM cycle is charged to exactly one cause, so each SM's
 // breakdown totals its cycle count and the GPU-wide merge totals
 // cycles × SMs. It holds across a ResetStats boundary (measurement
-// windows start clean) and on the quiescence fast paths (the shrunken
-// config plus the full set of workloads exercises idle SMs, quiescent
-// partitions and skipped crossbar ticks).
+// windows start clean) and on the SM's frozen path (the shrunken
+// config plus the full set of workloads exercises idle and
+// hit-waiting SMs).
 func TestStallAttributionSumsToIssueSlots(t *testing.T) {
 	cfg := config.GTX480Baseline()
 	cfg.Core.NumSMs = 6
@@ -40,7 +40,7 @@ func TestStallAttributionSumsToIssueSlots(t *testing.T) {
 }
 
 // TestStallAttributionFixedLatency checks the invariant in Fig. 1
-// mode, where SMs spend long spans on their idle early-out: those
+// mode, where SMs spend long spans on their frozen path: those
 // cycles must be attributed exactly like fully ticked ones.
 func TestStallAttributionFixedLatency(t *testing.T) {
 	cfg := config.GTX480Baseline()

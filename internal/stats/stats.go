@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -261,24 +260,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// GeoMean returns the geometric mean of xs; it returns 0 when xs is
-// empty or contains a non-positive value. Speedup aggregation in the
-// paper-style reports uses arithmetic mean (the paper reports "average
-// speedup"), but geomean is provided for robustness comparisons.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
-
 // Mean returns the arithmetic mean of xs, or 0 when empty.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -289,20 +270,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Median returns the median of xs, or 0 when empty.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
 }
 
 // Reset zeroes the tracker for a new measurement window.

@@ -151,21 +151,6 @@ func TestMeans(t *testing.T) {
 	if m := Mean(nil); m != 0 {
 		t.Fatalf("empty mean = %v", m)
 	}
-	if g := GeoMean([]float64{1, 4}); g != 2 {
-		t.Fatalf("geomean = %v", g)
-	}
-	if g := GeoMean([]float64{1, -1}); g != 0 {
-		t.Fatalf("geomean with negative should be 0, got %v", g)
-	}
-	if m := Median([]float64{3, 1, 2}); m != 2 {
-		t.Fatalf("median odd = %v", m)
-	}
-	if m := Median([]float64{4, 1, 2, 3}); m != 2.5 {
-		t.Fatalf("median even = %v", m)
-	}
-	if m := Median(nil); m != 0 {
-		t.Fatalf("empty median = %v", m)
-	}
 }
 
 func TestQueueUsageProperty(t *testing.T) {

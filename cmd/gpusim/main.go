@@ -22,17 +22,26 @@
 //	       [-cache-dir DIR]
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
+// The flags resolve through api.ResolveMethodology, the resolver every
+// daemon request goes through: a -config file is decoded as strictly
+// as an inline request config (an unknown field is an error), and a
+// methodology a daemon would refuse (-window 0, a negative -warmup)
+// is refused here with the same message.
+//
 // -cache-dir points at a gpusimd result-cache directory: jobs already
 // measured (by either tool) decode from the cache instead of
-// simulating, and fresh jobs are stored. The printed report is
-// byte-identical with and without the cache — results are pure
-// functions of (config, spec, seed, warmup, window).
+// simulating, and fresh jobs are stored. Entries are checked by the
+// validator gpusimd uses; a bad one is recomputed with a note on
+// stderr. The printed report is byte-identical with and without the
+// cache — results are pure functions of (config, spec, seed, warmup,
+// window).
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -40,6 +49,9 @@ import (
 	"strings"
 
 	gpgpumem "repro"
+	"repro/internal/api"
+	"repro/internal/resultcache"
+	"repro/internal/runner"
 )
 
 func main() {
@@ -62,26 +74,25 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := gpgpumem.DefaultConfig()
+	// The flags are a job request, resolved by the same code as every
+	// daemon request: one resolver, one error text.
+	req := api.JobRequest{
+		Scale: *scale, Seed: seed, FixedLatency: fixedLat,
+		Warmup: warmup, Window: window, Parallelism: *jobs,
+	}
 	if *cfgPath != "" {
 		data, err := os.ReadFile(*cfgPath)
 		if err != nil {
 			fatal(err)
 		}
-		cfg, err = loadConfig(data)
-		if err != nil {
-			fatal(err)
-		}
+		req.Config = data
 	}
-	set, err := gpgpumem.ParseScalingSet(*scale)
+	cfg, p, err := api.ResolveMethodology(gpgpumem.DefaultConfig(), req, max(*jobs, runtime.GOMAXPROCS(0)), math.MaxInt64)
 	if err != nil {
 		fatal(err)
 	}
-	cfg = set.Apply(cfg)
-	cfg.Seed = *seed
-	if *fixedLat >= 0 {
-		cfg.FixedLatency = gpgpumem.FixedLatencyConfig{Enabled: true, Cycles: *fixedLat}
-	}
+	// The resolver accepted the name; this only labels the report.
+	set, _ := gpgpumem.ParseScalingSet(*scale)
 	if *dumpCfg {
 		out, err := cfg.ToJSON()
 		if err != nil {
@@ -153,7 +164,7 @@ func main() {
 	for i, wl := range wls {
 		batch[i] = gpgpumem.Job{
 			Config: cfg, Workload: wl,
-			WarmupCycles: *warmup, WindowCycles: *window,
+			WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles,
 		}
 	}
 	// Profiling brackets exactly the simulations, and both profiles
@@ -168,7 +179,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	results, err := measure(batch, *jobs, *cacheDir)
+	results, err := measure(batch, p.Parallelism, *cacheDir)
 	if *cpuProf != "" {
 		pprof.StopCPUProfile()
 	}
@@ -178,81 +189,54 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Print(gpgpumem.RenderBatchReport(set.String(), *warmup, *window, wls, results))
+	fmt.Print(gpgpumem.RenderBatchReport(set.String(), p.WarmupCycles, p.WindowCycles, wls, results))
 	if *stalls {
 		fmt.Print("\n" + gpgpumem.RenderBatchStallReport(wls, results))
 	}
 }
 
-func loadConfig(data []byte) (gpgpumem.Config, error) {
-	return gpgpumem.ConfigFromJSON(data)
-}
-
-// measure runs the batch, optionally through a content-addressed
-// result cache shared with gpusimd. Results are pure functions of
-// (config, spec, seed, warmup, window), so a cache hit decodes to the
-// exact snapshot a fresh simulation would produce and the rendered
-// report is byte-identical either way; only spec-backed jobs are
-// cacheable (a -trace replay has no canonical description to hash).
-func measure(batch []gpgpumem.Job, jobs int, cacheDir string) ([]gpgpumem.Results, error) {
+// measure runs the batch on the worker pool, optionally through a
+// content-addressed result cache shared with gpusimd. Results are pure
+// functions of (config, spec, seed, warmup, window), so a cache hit
+// decodes to the exact snapshot a fresh simulation would produce and
+// the rendered report is byte-identical either way. Disk entries pass
+// gpusimd's validator; a bad one is deleted and recomputed. Only
+// spec-backed jobs are cacheable (a -trace replay has no canonical
+// description to hash).
+func measure(batch []gpgpumem.Job, parallelism int, cacheDir string) ([]gpgpumem.Results, error) {
 	if cacheDir == "" {
-		return gpgpumem.MeasureBatch(context.Background(), batch, jobs, nil)
+		return gpgpumem.MeasureBatch(context.Background(), batch, parallelism, nil)
 	}
-	cache, err := gpgpumem.NewResultCache(gpgpumem.ResultCacheOptions{Dir: cacheDir})
+	cache, err := resultcache.New(resultcache.Options{Dir: cacheDir, Validate: api.ValidateEntry})
 	if err != nil {
 		return nil, err
 	}
-	results := make([]gpgpumem.Results, len(batch))
-	keys := make([]string, len(batch))
-	var misses []int
-	for i, job := range batch {
+	results, err := runner.Map(context.Background(), len(batch), runner.Options{Parallelism: parallelism}, func(i int) (gpgpumem.Results, error) {
+		job := batch[i]
 		spec, ok := job.Workload.(gpgpumem.WorkloadSpec)
 		if !ok {
-			misses = append(misses, i)
-			continue
+			return runner.Execute(job)
 		}
-		key, err := gpgpumem.SimResultKey(job.Config, spec, job.WarmupCycles, job.WindowCycles)
+		key, err := resultcache.JobKey(job.Config, spec, job.WarmupCycles, job.WindowCycles)
 		if err != nil {
-			return nil, err
+			return gpgpumem.Results{}, err
 		}
-		keys[i] = key
-		data, ok := cache.Get(key)
-		if !ok {
-			misses = append(misses, i)
-			continue
-		}
-		res, err := gpgpumem.DecodeResults(data)
+		val, _, err := cache.GetOrCompute(key, func() ([]byte, error) {
+			res, err := runner.Execute(job)
+			if err != nil {
+				return nil, err
+			}
+			return gpgpumem.EncodeResults(res)
+		})
 		if err != nil {
-			// A corrupt or stale entry is recomputed, not trusted.
-			fmt.Fprintf(os.Stderr, "gpusim: ignoring bad cache entry for %s: %v\n", job.Workload.Name(), err)
-			misses = append(misses, i)
-			continue
+			return gpgpumem.Results{}, err
 		}
-		results[i] = res
+		return gpgpumem.DecodeResults(val)
+	})
+	if n := cache.Stats().BadEntries; n > 0 {
+		fmt.Fprintf(os.Stderr, "gpusim: ignoring bad cache entry for %d job(s); recomputed\n", n)
 	}
-	if len(misses) == 0 {
-		return results, nil
-	}
-	fresh := make([]gpgpumem.Job, len(misses))
-	for bi, i := range misses {
-		fresh[bi] = batch[i]
-	}
-	computed, err := gpgpumem.MeasureBatch(context.Background(), fresh, jobs, nil)
-	if err != nil {
-		return nil, err
-	}
-	for bi, i := range misses {
-		results[i] = computed[bi]
-		if keys[i] == "" {
-			continue // uncacheable job (trace replay)
-		}
-		enc, err := gpgpumem.EncodeResults(computed[bi])
-		if err != nil {
-			return nil, err
-		}
-		cache.Put(keys[i], enc)
-	}
-	return results, nil
+	return results, err
 }
 
 // writeHeapProfile snapshots the live heap to path. Failures are

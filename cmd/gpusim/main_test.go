@@ -176,3 +176,37 @@ func TestGpusimTraceReplay(t *testing.T) {
 		t.Fatalf("line-size mismatch not rejected: %s", stderr)
 	}
 }
+
+// TestGpusimRejectsWhatDaemonsReject: the flags go through the daemons'
+// resolver, so a methodology or config file gpusimd would answer with
+// 400 stops gpusim with the same message instead of printing a report
+// (an all-zero one for -window 0, the baseline for a misspelled knob).
+func TestGpusimRejectsWhatDaemonsReject(t *testing.T) {
+	bin := clitest.Build(t, "repro/cmd/gpusim")
+	cfgJSON, _ := clitest.Run(t, bin, "-dump-config")
+	// The misspelled knob sits next to the real one, so the document
+	// would validate if the typo were ignored.
+	typo := strings.Replace(cfgJSON, `"access_queue":`, `"acess_queue": 64, "access_queue":`, 1)
+	if typo == cfgJSON {
+		t.Fatal("fixture: the dumped config has no access_queue knob")
+	}
+	typoPath := filepath.Join(t.TempDir(), "typo.json")
+	if err := os.WriteFile(typoPath, []byte(typo), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		args []string
+		want string
+	}{
+		"zero window":      {[]string{"-window", "0"}, "warmup must be >= 0 and window > 0"},
+		"negative warmup":  {[]string{"-warmup", "-1"}, "warmup must be >= 0 and window > 0"},
+		"misspelled knob":  {[]string{"-config", typoPath, "-window", "100"}, `unknown field "acess_queue"`},
+		"unknown scale":    {[]string{"-scale", "warp9"}, "unknown scaling set"},
+		"dump-config typo": {[]string{"-config", typoPath, "-dump-config"}, `unknown field "acess_queue"`},
+	} {
+		stderr := clitest.RunExpectError(t, bin, tc.args...)
+		if !strings.Contains(stderr, tc.want) {
+			t.Errorf("%s: stderr %q does not mention %q", name, stderr, tc.want)
+		}
+	}
+}

@@ -230,10 +230,13 @@ type Job = runner.Job
 // worker pool and returns their measurements in submission order
 // (completion order does not matter; results are deterministic).
 // parallelism 0 means runtime.GOMAXPROCS(0) and 1 is fully serial.
-// Errors are collected per job and joined; canceling ctx fails the
-// not-yet-started jobs but lets in-flight simulations finish.
+// Errors (a panicking job included) are collected per job, named by
+// its index, and joined; canceling ctx fails the not-yet-started jobs
+// but lets in-flight simulations finish.
 func MeasureBatch(ctx context.Context, jobs []Job, parallelism int, progress func(done, total int)) ([]Results, error) {
-	return runner.Run(ctx, jobs, runner.Options{Parallelism: parallelism, Progress: progress})
+	return runner.Map(ctx, len(jobs), runner.Options{Parallelism: parallelism, Progress: progress}, func(i int) (Results, error) {
+		return runner.Execute(jobs[i])
+	})
 }
 
 // RenderBatchReport renders the full measurement reports of a batch,

@@ -6,7 +6,10 @@
 // of each sweep, plus the one sweep pipeline they all run: Resolve
 // turns a request into a checked, content-addressed grid, and
 // Sweep.Execute measures it — locally (Local) or on a fleet — and
-// merges the report.
+// merges the report. Single jobs take the same road: ResolveRun is
+// the /v1/run resolver, and gpusim resolves its flags with
+// ResolveMethodology, so every job description has one resolver and
+// one error text whichever surface receives it.
 //
 // The package exists so that a sweep kind is declared exactly once.
 // Before it, adding a sweep meant a new handler in serve, a new case
@@ -17,14 +20,15 @@
 package api
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 
 	"repro/internal/config"
 	"repro/internal/exp"
+	"repro/internal/resultcache"
 )
 
 // JobRequest is the shared request shape of every job-submitting
@@ -40,11 +44,12 @@ type JobRequest struct {
 	// standard set).
 	Workloads []string `json:"workloads,omitempty"`
 
-	// Config, when present, is a complete inline architecture (the
-	// config.ToJSON document) that replaces the server's base config
-	// for this job; Scale, Seed and FixedLatency then apply on top of
-	// it. The fabric coordinator uses it to ship per-job perturbed
-	// configs to workers whose own base differs.
+	// Config, when present (non-nil), is a complete inline
+	// architecture (the config.ToJSON document) that replaces the
+	// server's base config for this job; Scale, Seed and FixedLatency
+	// then apply on top of it. The fabric coordinator uses it to ship
+	// per-job perturbed configs to workers whose own base differs, and
+	// gpusim sends its -config file's bytes here.
 	Config json.RawMessage `json:"config,omitempty"`
 
 	// Seed overrides the base config's RNG seed; Scale applies a
@@ -83,14 +88,15 @@ func DecodeJobRequest(r *http.Request) (JobRequest, error) {
 // ResolveMethodology resolves a request's config transforms and run
 // parameters against a base config and the serving layer's caps. It
 // is the one definition of "what simulation does this request
-// describe": Resolve and the /v1/run handler call it for every
+// describe": Resolve, ResolveRun and gpusim call it for every
 // surface, which is what makes their cache keys — and therefore their
-// bytes — agree. An inline req.Config replaces base entirely before
-// the scale/seed/fixed-latency transforms apply.
+// bytes — agree. An inline req.Config, strictly decoded by
+// config.FromJSON, replaces base entirely before the
+// scale/seed/fixed-latency transforms apply.
 func ResolveMethodology(base config.Config, req JobRequest, maxParallel int, maxWindow int64) (config.Config, exp.RunParams, error) {
 	cfg := base
-	if len(req.Config) > 0 {
-		c, err := decodeConfig(req.Config)
+	if req.Config != nil {
+		c, err := config.FromJSON(req.Config)
 		if err != nil {
 			return config.Config{}, exp.RunParams{}, err
 		}
@@ -131,23 +137,21 @@ func ResolveMethodology(base config.Config, req JobRequest, maxParallel int, max
 	return cfg, p, nil
 }
 
-// decodeConfig strictly parses an inline request config: unknown
-// fields are rejected (a misspelled knob must not silently run the
-// baseline) and the result is validated.
-func decodeConfig(raw json.RawMessage) (config.Config, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	var c config.Config
-	if err := dec.Decode(&c); err != nil {
-		return config.Config{}, fmt.Errorf("parse config: %w", err)
+// ValidateEntry vets result-cache entries loaded from disk or fetched
+// from a peer before they are served: run entries must decode as a
+// valid Results snapshot, sweep reports must at least be intact JSON.
+// A truncated or tampered file is recomputed, never trusted. gpusimd
+// and gpusim -cache-dir share it, so both trust exactly the same
+// entries.
+func ValidateEntry(key string, val []byte) error {
+	if strings.HasPrefix(key, resultcache.RunKeyPrefix) {
+		_, err := exp.DecodeResults(val)
+		return err
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return config.Config{}, fmt.Errorf("parse config: trailing data after the JSON document")
+	if !json.Valid(val) {
+		return fmt.Errorf("api: cache entry %s is not valid JSON", key)
 	}
-	if err := c.Validate(); err != nil {
-		return config.Config{}, err
-	}
-	return c, nil
+	return nil
 }
 
 // Envelope is the deterministic response body of every job endpoint:

@@ -8,6 +8,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/resultcache"
 	"repro/internal/runner"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -130,22 +131,30 @@ func (sw *Sweep) Execute(ctx context.Context, measure Measure) (any, error) {
 // runner.Execute and encode the result under its job key.
 func Local(ctx context.Context, sw *Sweep, i int) (GridResult, error) {
 	g, p := sw.Grid[i], sw.Params
-	res, err := runner.Execute(runner.Job{
-		Config: g.Config, Workload: g.Spec,
-		WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles,
-	})
+	res, enc, err := execute(g.Config, g.Spec, p)
 	if err != nil {
-		return GridResult{}, fmt.Errorf("runner: job %d (%s): %w", i, g.Spec.SpecName, err)
+		return GridResult{}, fmt.Errorf("%s: %w", g.Spec.SpecName, err)
 	}
 	key, err := resultcache.JobKey(g.Config, g.Spec, p.WarmupCycles, p.WindowCycles)
 	if err != nil {
 		return GridResult{}, err
 	}
-	enc, err := exp.EncodeResults(res)
-	if err != nil {
-		return GridResult{}, err
-	}
 	return GridResult{Key: key, Encoded: enc, Results: res}, nil
+}
+
+// execute is the one in-process measurement behind Local and
+// RunJob.Measure: simulate (cfg, spec) with runner.Execute and encode
+// the result with exp.EncodeResults.
+func execute(cfg config.Config, spec workload.Spec, p exp.RunParams) (sim.Results, []byte, error) {
+	res, err := runner.Execute(runner.Job{
+		Config: cfg, Workload: spec,
+		WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles,
+	})
+	if err != nil {
+		return sim.Results{}, nil, err
+	}
+	enc, err := exp.EncodeResults(res)
+	return res, enc, err
 }
 
 // Envelope wraps a marshaled report in the sweep's response envelope,

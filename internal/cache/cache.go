@@ -91,14 +91,6 @@ type Stats struct {
 	DirtyEvictions   int64
 }
 
-// HitRate returns hits / accesses, or 0 without accesses.
-func (s Stats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
-
 // MissRate returns (misses + reserved hits) / accesses: accesses that
 // could not be served from valid data.
 func (s Stats) MissRate() float64 {
@@ -349,32 +341,6 @@ func (c *Cache) Fill(addr uint64, now int64, makeDirty bool) {
 		}
 	}
 	panic(fmt.Sprintf("cache: Fill(%#x) without matching reserved line", addr))
-}
-
-// State returns the state of the line holding addr, or Invalid.
-func (c *Cache) State(addr uint64) LineState {
-	set := c.sets[c.SetIndex(addr)]
-	tag := c.tag(addr)
-	for i := range set {
-		if set[i].state != Invalid && set[i].tag == tag {
-			return set[i].state
-		}
-	}
-	return Invalid
-}
-
-// CountState returns how many lines across the cache are in state s;
-// used by tests and occupancy diagnostics.
-func (c *Cache) CountState(s LineState) int {
-	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].state == s {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // ResetStats zeroes the event counters for a new measurement window;

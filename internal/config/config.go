@@ -7,8 +7,10 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"repro/internal/policy"
 )
@@ -450,12 +452,21 @@ func (c Config) ToJSON() ([]byte, error) {
 	return json.MarshalIndent(c, "", "  ")
 }
 
-// FromJSON parses a config from JSON produced by ToJSON and
-// validates it.
+// FromJSON is the one config decoder: it strictly parses a ToJSON
+// document and validates the result. Unknown fields and trailing data
+// are rejected, so a misspelled knob fails loudly instead of silently
+// running the baseline. Every surface that reads a config — the
+// -config files of gpusim, gpusimd and gpusimc, and the inline config
+// of a job request — goes through it.
 func FromJSON(data []byte) (Config, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var c Config
-	if err := json.Unmarshal(data, &c); err != nil {
+	if err := dec.Decode(&c); err != nil {
 		return Config{}, fmt.Errorf("config: parse: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Config{}, fmt.Errorf("config: parse: trailing data after the JSON document")
 	}
 	if err := c.Validate(); err != nil {
 		return Config{}, err

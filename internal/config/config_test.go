@@ -209,6 +209,27 @@ func TestFromJSONRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestFromJSONRejectsUnknownField: a misspelled knob in a config file
+// must fail, not silently run the baseline value it meant to change.
+func TestFromJSONRejectsUnknownField(t *testing.T) {
+	data, err := GTX480Baseline().ToJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The misspelled knob sits next to the real one, so the document
+	// would validate if the typo were ignored.
+	typo := strings.Replace(string(data), `"access_queue":`, `"acess_queue": 64, "access_queue":`, 1)
+	if typo == string(data) {
+		t.Fatal("fixture: the baseline JSON has no access_queue knob")
+	}
+	if _, err := FromJSON([]byte(typo)); err == nil || !strings.Contains(err.Error(), `unknown field "acess_queue"`) {
+		t.Fatalf("misspelled knob: err = %v", err)
+	}
+	if _, err := FromJSON(append(data, "{}"...)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+		t.Fatalf("trailing document: err = %v", err)
+	}
+}
+
 func TestDRAMDerived(t *testing.T) {
 	d := GTX480Baseline().DRAM
 	// 2 chips × 32 bits = 8 bytes per edge × 2 (DDR) = 16 B/cycle.

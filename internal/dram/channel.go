@@ -34,15 +34,6 @@ type Stats struct {
 	InFullCycles int64
 }
 
-// RowHitRate returns row hits over all accesses.
-func (s Stats) RowHitRate() float64 {
-	total := s.RowHits + s.RowMisses + s.RowConflicts
-	if total == 0 {
-		return 0
-	}
-	return float64(s.RowHits) / float64(total)
-}
-
 type bank struct {
 	openRow    int64 // -1 when closed
 	readyAt    int64 // next cycle the bank may start a new access
@@ -120,9 +111,6 @@ func (c *Channel) UsePool(p *mem.Pool) { c.pool = p }
 func (c *Channel) Push(req *mem.Request) bool {
 	return c.schedQ.Push(schedEntry{req: req, co: c.addrMap.Decode(req.LineAddr())})
 }
-
-// QueueFree returns free scheduler-queue slots.
-func (c *Channel) QueueFree() int { return c.schedQ.Free() }
 
 // SchedFull reports whether the scheduler queue is at capacity right
 // now — the channel is stalling its upstream L2 miss path. The

@@ -228,7 +228,7 @@ func TestReturnBackPressureStopsIssue(t *testing.T) {
 		t.Fatalf("return stalls not counted")
 	}
 	// Issue must have stopped: at most a couple of reads consumed.
-	if ch.QueueFree() == 8 {
+	if ch.schedQ.Free() == 8 {
 		t.Fatalf("queue should still hold blocked requests")
 	}
 	st := ch.Stats()
@@ -279,17 +279,6 @@ func TestBusSerializesBanks(t *testing.T) {
 	}
 	if ch.Stats().BusBusyCycles != 16 {
 		t.Fatalf("bus busy = %d, want 16", ch.Stats().BusBusyCycles)
-	}
-}
-
-func TestRowHitRate(t *testing.T) {
-	var s Stats
-	if s.RowHitRate() != 0 {
-		t.Fatalf("empty hit rate")
-	}
-	s = Stats{RowHits: 3, RowMisses: 1, RowConflicts: 0}
-	if s.RowHitRate() != 0.75 {
-		t.Fatalf("hit rate = %v", s.RowHitRate())
 	}
 }
 

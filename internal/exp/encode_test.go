@@ -26,7 +26,7 @@ func TestResultsEncodeRoundTrip(t *testing.T) {
 	cfgs["fixed"] = fixed
 
 	for name, cfg := range cfgs {
-		res, err := Measure(cfg, wl, p)
+		res, err := measure(cfg, wl, p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -63,7 +63,7 @@ func TestResultsEncodeRoundTrip(t *testing.T) {
 // this code could not have produced.
 func TestDecodeResultsRejectsCorrupt(t *testing.T) {
 	wl, _ := workload.ByName("sc")
-	res, err := Measure(config.GTX480Baseline(), wl, RunParams{WarmupCycles: 200, WindowCycles: 400})
+	res, err := measure(config.GTX480Baseline(), wl, RunParams{WarmupCycles: 200, WindowCycles: 400})
 	if err != nil {
 		t.Fatal(err)
 	}

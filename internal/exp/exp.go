@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"repro/internal/config"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -88,19 +87,4 @@ func splitRows(sweep string, specs []workload.Spec, variants int, res []sim.Resu
 		rows[i] = res[i*stride : (i+1)*stride]
 	}
 	return rows, nil
-}
-
-// Measure builds a GPU for (cfg, wl), runs warmup+window, and returns
-// the window's results. It is the single-job form of the engine: the
-// worker pool executes exactly this per job, so a batch at any
-// parallelism is bit-identical to calling Measure in a loop.
-func Measure(cfg config.Config, wl workload.Workload, p RunParams) (sim.Results, error) {
-	r, err := runner.Execute(runner.Job{
-		Config: cfg, Workload: wl,
-		WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles,
-	})
-	if err != nil {
-		return sim.Results{}, fmt.Errorf("exp: %w", err)
-	}
-	return r, nil
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/runner"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -18,6 +20,15 @@ func smallConfig() config.Config {
 	return cfg
 }
 
+// measure runs one job the way every surface does, with
+// runner.Execute under p's methodology.
+func measure(cfg config.Config, wl workload.Workload, p RunParams) (sim.Results, error) {
+	return runner.Execute(runner.Job{
+		Config: cfg, Workload: wl,
+		WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles,
+	})
+}
+
 func congested() workload.Spec {
 	return workload.Spec{
 		SpecName: "hammer", Warps: 24, ComputePerMem: 3, DepDist: 1,
@@ -27,7 +38,7 @@ func congested() workload.Spec {
 }
 
 func TestMeasureProducesResults(t *testing.T) {
-	r, err := Measure(smallConfig(), congested(), fastParams())
+	r, err := measure(smallConfig(), congested(), fastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +50,7 @@ func TestMeasureProducesResults(t *testing.T) {
 func TestMeasureRejectsBadConfig(t *testing.T) {
 	cfg := smallConfig()
 	cfg.L1.Sets = 0
-	if _, err := Measure(cfg, congested(), fastParams()); err == nil {
+	if _, err := measure(cfg, congested(), fastParams()); err == nil {
 		t.Fatalf("expected error")
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/runner"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -38,7 +39,9 @@ func checkGpusimGolden(t *testing.T, golden string, names ...string) {
 		jobs[i] = runner.Job{Config: config.GTX480Baseline(), Workload: wls[i], WarmupCycles: 2000, WindowCycles: 5000}
 	}
 	for _, j := range []int{1, 4} {
-		res, err := runner.Run(context.Background(), jobs, runner.Options{Parallelism: j})
+		res, err := runner.Map(context.Background(), len(jobs), runner.Options{Parallelism: j}, func(i int) (sim.Results, error) {
+			return runner.Execute(jobs[i])
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

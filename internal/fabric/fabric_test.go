@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/config"
 	"repro/internal/resultcache"
 	"repro/internal/serve"
@@ -290,7 +291,7 @@ func TestDuplicateCompletionDeduped(t *testing.T) {
 
 	coord := newCoordinator(t, urls, Options{})
 	var events []JobEvent
-	env, err := coord.RunSweep(context.Background(), "run", serve.JobRequest{
+	env, err := coord.RunSweep(context.Background(), "run", api.JobRequest{
 		Workloads: []string{"sc"}, Warmup: &warmup, Window: &window,
 	}, func(ev JobEvent) { events = append(events, ev) })
 	if err != nil {
@@ -320,7 +321,7 @@ func TestDuplicateCompletionDeduped(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("single node run: %d %s", code, want)
 	}
-	var batch []serve.Envelope
+	var batch []api.Envelope
 	if err := json.Unmarshal(env.Report, &batch); err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +343,7 @@ func TestRunBatchMatchesSingleRuns(t *testing.T) {
 
 	warmup, window := int64(200), int64(500)
 	names := []string{"sc", "kmeans"}
-	env, err := coord.RunSweep(context.Background(), "run", serve.JobRequest{
+	env, err := coord.RunSweep(context.Background(), "run", api.JobRequest{
 		Workloads: names, Warmup: &warmup, Window: &window,
 	}, nil)
 	if err != nil {
@@ -351,7 +352,7 @@ func TestRunBatchMatchesSingleRuns(t *testing.T) {
 	if env.Kind != "run-batch" {
 		t.Fatalf("kind = %q", env.Kind)
 	}
-	var batch []serve.Envelope
+	var batch []api.Envelope
 	if err := json.Unmarshal(env.Report, &batch); err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +382,7 @@ func TestCacheLocalityRepeatSweep(t *testing.T) {
 	servers, urls := newFleet(t, 3, serve.Options{})
 	coord := newCoordinator(t, urls, Options{})
 	warmup, window := int64(200), int64(500)
-	req := serve.JobRequest{Workloads: []string{"sc", "cfd", "nn", "kmeans"}, Warmup: &warmup, Window: &window}
+	req := api.JobRequest{Workloads: []string{"sc", "cfd", "nn", "kmeans"}, Warmup: &warmup, Window: &window}
 
 	first := map[int]string{}
 	_, err := coord.RunSweep(context.Background(), "bottleneck", req, func(ev JobEvent) {
@@ -432,7 +433,7 @@ func TestConfigDriftDetected(t *testing.T) {
 	coord := newCoordinator(t, []string{url}, Options{MaxAttempts: 1})
 
 	warmup, window := int64(200), int64(500)
-	_, err := coord.RunSweep(context.Background(), "run", serve.JobRequest{
+	_, err := coord.RunSweep(context.Background(), "run", api.JobRequest{
 		Workloads: []string{"sc"}, Warmup: &warmup, Window: &window,
 	}, nil)
 	if err == nil || !strings.Contains(err.Error(), "base config differs") {
@@ -490,7 +491,7 @@ func TestHealthAndWorkers(t *testing.T) {
 	}
 
 	warmup, window := int64(200), int64(500)
-	if _, err := coord.RunSweep(context.Background(), "run", serve.JobRequest{
+	if _, err := coord.RunSweep(context.Background(), "run", api.JobRequest{
 		Workloads: []string{"sc"}, Warmup: &warmup, Window: &window,
 	}, nil); err != nil {
 		t.Fatal(err)

@@ -149,7 +149,7 @@ func checkFleetMatchesSingleNode(t *testing.T, kind string, names ...string) {
 		t.Errorf("fleet-merged %s differs from single node:\n got: %s\nwant: %s", kind, got, want)
 	}
 
-	var env serve.Envelope
+	var env api.Envelope
 	if err := json.Unmarshal([]byte(got), &env); err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func newSaturated(ins, outs, size int) *saturated {
 // step refills the inputs and ticks the crossbar once.
 func (s *saturated) step() {
 	for in := 0; in < s.x.cfg.Inputs; in++ {
-		for s.x.InputFree(in) > 0 && len(s.sink.free) > 0 {
+		for s.x.inputs[in].Free() > 0 && len(s.sink.free) > 0 {
 			p := s.sink.free[len(s.sink.free)-1]
 			s.sink.free = s.sink.free[:len(s.sink.free)-1]
 			s.rng ^= s.rng << 13

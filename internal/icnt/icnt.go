@@ -150,9 +150,6 @@ func (c *Crossbar) setHead(in, out int) {
 	p.heads++
 }
 
-// InputFree returns the free slots at input port src.
-func (c *Crossbar) InputFree(src int) int { return c.inputs[src].Free() }
-
 // AnyInputFull reports whether some input buffer is at capacity right
 // now — the crossbar is stalling at least one injector. The
 // stall-attribution engine reads it when charging SM memory-wait

@@ -158,8 +158,8 @@ func TestInputBufferBound(t *testing.T) {
 	if x.Stats().InputFullRejects != 1 {
 		t.Fatalf("reject not counted")
 	}
-	if x.InputFree(0) != 0 {
-		t.Fatalf("InputFree = %d", x.InputFree(0))
+	if free := x.inputs[0].Free(); free != 0 {
+		t.Fatalf("input 0 has %d free slots, want 0", free)
 	}
 }
 

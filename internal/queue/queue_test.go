@@ -143,8 +143,9 @@ func TestUsageSampling(t *testing.T) {
 	q.Push(2)
 	q.Sample() // full
 	u := q.Usage()
-	if u.SampledCycles() != 3 || u.UsageCycles() != 2 || u.FullCycles() != 1 {
-		t.Fatalf("usage: sampled=%d usage=%d full=%d", u.SampledCycles(), u.UsageCycles(), u.FullCycles())
+	// One full cycle out of two non-empty ones.
+	if u.SampledCycles() != 3 || u.FullOfUsage() != 0.5 || u.FullCycles() != 1 {
+		t.Fatalf("usage: sampled=%d full-of-usage=%v full=%d", u.SampledCycles(), u.FullOfUsage(), u.FullCycles())
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 
 // TestMapOrderedAcrossParallelism: results land at their submission
 // index whatever the worker count or completion order — the ordering
-// discipline Run (and the fabric coordinator) builds on.
+// discipline MeasureBatch, the sweep executor and the fabric
+// coordinator build on.
 func TestMapOrderedAcrossParallelism(t *testing.T) {
 	const n = 20
 	for _, j := range []int{1, 4, 32} {

@@ -70,9 +70,10 @@ func (o Options) workers(jobs int) int {
 // Execute runs a single job to completion on the calling goroutine:
 // validate and build the GPU, run warmup, reset statistics, run the
 // measurement window. This is the one definition of the measurement
-// methodology; the serial exp.Measure path and every pool worker both
-// funnel through it, which is what makes "same job, any parallelism,
-// same bits" checkable.
+// methodology; every surface funnels through it — a sweep's local
+// measure, a /v1/run miss, and MeasureBatch mapping it over Map —
+// which is what makes "same job, any parallelism, same bits"
+// checkable.
 func Execute(j Job) (sim.Results, error) {
 	g, err := sim.New(j.Config, j.Workload)
 	if err != nil {
@@ -84,35 +85,18 @@ func Execute(j Job) (sim.Results, error) {
 	return g.Results(), nil
 }
 
-// Run executes every job on a bounded worker pool and returns the
-// results indexed by submission order, regardless of completion
-// order. Errors are collected per job and joined (a failed sweep
-// point does not abort the rest of the grid); ctx cancellation marks
-// every not-yet-started job with ctx.Err() but lets in-flight
-// simulations finish their window. A worker panic is captured and
-// reported as that job's error rather than tearing down the process.
-func Run(ctx context.Context, jobs []Job, opt Options) ([]sim.Results, error) {
-	return Map(ctx, len(jobs), opt, func(i int) (sim.Results, error) {
-		res, err := execute(jobs[i])
-		if err != nil {
-			return sim.Results{}, fmt.Errorf("runner: job %d (%s): %w", i, jobName(jobs[i]), err)
-		}
-		return res, nil
-	})
-}
-
 // Map is the pool's ordered-results discipline, generalized: run
 // fn(0..n-1) on a bounded worker pool and return the values indexed
-// by i, regardless of completion order. It is what Run and the sweep
-// executor api.Sweep.Execute are built on, and what lets a sweep
-// measured remotely — the internal/fabric measure sends one HTTP job
-// per index to a worker fleet — inherit the same guarantees without
-// re-proving them:
+// by i, regardless of completion order. It is what MeasureBatch and
+// the sweep executor api.Sweep.Execute are built on, and what lets a
+// sweep measured remotely — the internal/fabric measure sends one
+// HTTP job per index to a worker fleet — inherit the same guarantees
+// without re-proving them:
 //
 //   - results land at their submission index, so a deterministic fn
 //     yields a deterministic slice at any parallelism;
-//   - errors are collected per index and joined, one failure does not
-//     abort the rest;
+//   - errors are collected per index, named by it, and joined; one
+//     failure does not abort the rest;
 //   - ctx cancellation marks every not-yet-started index with
 //     ctx.Err() but lets in-flight calls finish;
 //   - a panicking fn is captured as that index's error;
@@ -166,32 +150,16 @@ func Map[T any](ctx context.Context, n int, opt Options, fn func(i int) (T, erro
 }
 
 // guard runs fn(i) with panic capture, so one bad call surfaces as an
-// error on its own index instead of killing the pool.
+// error on its own index instead of killing the pool; either way the
+// error names the index.
 func guard[T any](fn func(int) (T, error), i int) (res T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("runner: job %d panicked: %v", i, r)
 		}
 	}()
-	return fn(i)
-}
-
-// jobName labels a job for error messages; a zero-value Job has a
-// nil Workload, which must not crash the error path itself.
-func jobName(j Job) string {
-	if j.Workload == nil {
-		return "<nil workload>"
+	if res, err = fn(i); err != nil {
+		err = fmt.Errorf("runner: job %d: %w", i, err)
 	}
-	return j.Workload.Name()
-}
-
-// execute wraps Execute with panic capture so one bad sweep point
-// surfaces as an error on its own index instead of killing the pool.
-func execute(j Job) (res sim.Results, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	return Execute(j)
+	return res, err
 }

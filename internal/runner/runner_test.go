@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -16,6 +17,12 @@ func testConfig() config.Config {
 	cfg.Core.NumSMs = 4
 	cfg.L2.Partitions = 2
 	return cfg
+}
+
+// run is the batch form every caller builds from the pool: Execute
+// mapped over the jobs (gpgpumem.MeasureBatch is exactly this).
+func run(ctx context.Context, jobs []Job, opt Options) ([]sim.Results, error) {
+	return Map(ctx, len(jobs), opt, func(i int) (sim.Results, error) { return Execute(jobs[i]) })
 }
 
 func testJobs(t *testing.T, n int) []Job {
@@ -42,15 +49,15 @@ func testJobs(t *testing.T, n int) []Job {
 // worker count, in submission order.
 func TestRunDeterministicAcrossParallelism(t *testing.T) {
 	jobs := testJobs(t, 8)
-	serial, err := Run(context.Background(), jobs, Options{Parallelism: 1})
+	serial, err := run(context.Background(), jobs, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialAgain, err := Run(context.Background(), jobs, Options{Parallelism: 1})
+	serialAgain, err := run(context.Background(), jobs, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(context.Background(), jobs, Options{Parallelism: 8})
+	parallel, err := run(context.Background(), jobs, Options{Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +86,7 @@ func TestRunMatchesExecute(t *testing.T) {
 		}
 		direct[i] = r
 	}
-	pooled, err := Run(context.Background(), jobs, Options{Parallelism: 2})
+	pooled, err := run(context.Background(), jobs, Options{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +105,7 @@ func TestRunCollectsPerJobErrors(t *testing.T) {
 	bad.Core.MaxWarpsPerSM = 1 // every built-in workload wants more
 	jobs[2].Config = bad
 
-	res, err := Run(context.Background(), jobs, Options{Parallelism: 4})
+	res, err := run(context.Background(), jobs, Options{Parallelism: 4})
 	if err == nil {
 		t.Fatal("want an error for job 2")
 	}
@@ -126,7 +133,7 @@ func TestRunRecoversWorkerPanic(t *testing.T) {
 	// construction, so this panics inside the worker.
 	jobs[1].Workload = workload.Spec{SpecName: "broken", Warps: 2}
 
-	res, err := Run(context.Background(), jobs, Options{Parallelism: 3})
+	res, err := run(context.Background(), jobs, Options{Parallelism: 3})
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("want a captured panic error, got %v", err)
 	}
@@ -141,7 +148,7 @@ func TestRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	jobs := testJobs(t, 4)
-	res, err := Run(ctx, jobs, Options{Parallelism: 2})
+	res, err := run(ctx, jobs, Options{Parallelism: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -157,7 +164,7 @@ func TestRunCancellation(t *testing.T) {
 func TestRunProgress(t *testing.T) {
 	jobs := testJobs(t, 6)
 	var calls []int
-	_, err := Run(context.Background(), jobs, Options{
+	_, err := run(context.Background(), jobs, Options{
 		Parallelism: 4,
 		Progress: func(done, total int) {
 			if total != len(jobs) {
@@ -181,7 +188,7 @@ func TestRunProgress(t *testing.T) {
 
 // TestRunEmptyBatch: no jobs, no error, no hang.
 func TestRunEmptyBatch(t *testing.T) {
-	res, err := Run(context.Background(), nil, Options{Parallelism: 8})
+	res, err := run(context.Background(), nil, Options{Parallelism: 8})
 	if err != nil || len(res) != 0 {
 		t.Fatalf("empty batch: res=%v err=%v", res, err)
 	}
@@ -205,7 +212,7 @@ func TestOptionsWorkers(t *testing.T) {
 func TestRunNilWorkloadJob(t *testing.T) {
 	jobs := testJobs(t, 2)
 	jobs = append(jobs, Job{}) // zero value: nil Workload
-	res, err := Run(context.Background(), jobs, Options{Parallelism: 2})
+	res, err := run(context.Background(), jobs, Options{Parallelism: 2})
 	if err == nil || !strings.Contains(err.Error(), "job 2") {
 		t.Fatalf("want a per-job error naming job 2, got %v", err)
 	}

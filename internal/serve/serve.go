@@ -59,13 +59,11 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/config"
-	"repro/internal/exp"
 	"repro/internal/resultcache"
 	"repro/internal/workload"
 )
@@ -103,16 +101,6 @@ type Options struct {
 	// have saved.
 	PeerTimeout time.Duration
 }
-
-// JobRequest is the request document shared by every job endpoint; it
-// is defined in internal/api (the shared HTTP surface) and aliased
-// here for callers of the serving layer.
-type JobRequest = api.JobRequest
-
-// Envelope is the deterministic response body of every job endpoint,
-// defined in internal/api and aliased here for callers of the serving
-// layer.
-type Envelope = api.Envelope
 
 // Server is the experiment service. Build with New, mount Handler,
 // stop with Drain.
@@ -154,7 +142,7 @@ func New(o Options) (*Server, error) {
 	cache, err := resultcache.New(resultcache.Options{
 		MaxBytes: o.CacheBytes,
 		Dir:      o.CacheDir,
-		Validate: validateEntry,
+		Validate: api.ValidateEntry,
 	})
 	if err != nil {
 		return nil, err
@@ -306,87 +294,27 @@ func (s *Server) Simulations() int64 {
 	return s.simulations
 }
 
-// validateEntry vets result-cache entries loaded from disk before
-// they are served: run entries must decode as a valid Results
-// snapshot, sweep reports must at least be intact JSON. A truncated
-// or tampered file is recomputed, never trusted.
-func validateEntry(key string, val []byte) error {
-	if strings.HasPrefix(key, resultcache.RunKeyPrefix) {
-		_, err := exp.DecodeResults(val)
-		return err
-	}
-	if !json.Valid(val) {
-		return fmt.Errorf("serve: cache entry %s is not valid JSON", key)
-	}
-	return nil
-}
-
 // handleRun measures one workload, serving cached bytes when the job
-// has run before.
+// has run before: decode, resolve with the api resolver (every client
+// error is a 400 before anything runs), then cache or compute.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	req, err := api.DecodeJobRequest(r)
 	if err != nil {
 		api.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(req.Workloads) > 0 {
-		// The list form belongs to the sweep endpoints; dropping it
-		// silently would run something other than what was asked for.
-		api.Error(w, http.StatusBadRequest,
-			fmt.Errorf("/v1/run takes one workload (or spec); a workloads list goes to /v1/sweep/{%s}",
-				strings.Join(api.KindNames(), "|")))
-		return
-	}
-	var spec workload.Spec
-	switch {
-	case req.Workload != "" && len(req.Spec) > 0:
-		api.Error(w, http.StatusBadRequest, fmt.Errorf("workload and spec are mutually exclusive"))
-		return
-	case req.Workload != "":
-		sp, err := workload.SpecByName(req.Workload)
-		if err != nil {
-			api.Error(w, http.StatusBadRequest, err)
-			return
-		}
-		spec = sp
-	case len(req.Spec) > 0:
-		sp, err := workload.ParseSpec(req.Spec)
-		if err != nil {
-			api.Error(w, http.StatusBadRequest, err)
-			return
-		}
-		spec = sp
-	default:
-		api.Error(w, http.StatusBadRequest, fmt.Errorf("request needs a workload name or an inline spec"))
-		return
-	}
-	cfg, p, err := api.ResolveMethodology(s.base, req, s.maxParallel, s.maxWindow)
-	if err != nil {
-		api.Error(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := api.CheckJob(cfg, spec); err != nil {
-		api.Error(w, http.StatusBadRequest, err)
-		return
-	}
-	key, err := resultcache.JobKey(cfg, spec, p.WarmupCycles, p.WindowCycles)
+	job, err := api.ResolveRun(req, s.base, s.maxParallel, s.maxWindow)
 	if err != nil {
 		api.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	source := sourceMiss
-	val, hit, err := s.cache.GetOrCompute(key, func() ([]byte, error) {
-		if val, ok := s.peerFetch(r.Context(), key); ok {
+	val, hit, err := s.cache.GetOrCompute(job.Key, func() ([]byte, error) {
+		if val, ok := s.peerFetch(r.Context(), job.Key); ok {
 			source = sourcePeer
 			return val, nil
 		}
-		return s.runJob(r.Context(), func() ([]byte, error) {
-			res, err := exp.Measure(cfg, spec, p)
-			if err != nil {
-				return nil, err
-			}
-			return exp.EncodeResults(res)
-		})
+		return s.runJob(r.Context(), job.Measure)
 	})
 	if err != nil {
 		api.Error(w, errStatus(err), err)
@@ -395,11 +323,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if hit {
 		source = sourceHit
 	}
-	writeEnvelope(w, source, Envelope{
-		Key: key, Kind: "measure", Workload: spec.SpecName,
-		WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles,
-		Results: val,
-	})
+	writeEnvelope(w, source, job.Envelope(val))
 }
 
 // handleSweep serves POST /v1/sweep/{kind} for every registered sweep
@@ -558,7 +482,7 @@ func (s *Server) peerFetch(ctx context.Context, key string) ([]byte, bool) {
 		if err != nil || resp.StatusCode != http.StatusOK {
 			continue
 		}
-		if err := validateEntry(key, val); err != nil {
+		if err := api.ValidateEntry(key, val); err != nil {
 			continue
 		}
 		s.mu.Lock()
@@ -583,7 +507,7 @@ const (
 	sourcePeer = "peer"
 )
 
-func writeEnvelope(w http.ResponseWriter, source string, env Envelope) {
+func writeEnvelope(w http.ResponseWriter, source string, env api.Envelope) {
 	w.Header().Set("X-Cache", source)
 	api.WriteJSON(w, http.StatusOK, env)
 }

@@ -116,7 +116,9 @@ func TestGridDeterministicAcrossParallelism(t *testing.T) {
 	jobs := gridJobs(t)
 	run := func(par int) []sim.Results {
 		t.Helper()
-		res, err := runner.Run(context.Background(), jobs, runner.Options{Parallelism: par})
+		res, err := runner.Map(context.Background(), len(jobs), runner.Options{Parallelism: par}, func(i int) (sim.Results, error) {
+			return runner.Execute(jobs[i])
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,7 +46,11 @@ type Results struct {
 	// AvgMissLatency is the mean L1-miss round trip in core cycles —
 	// the §II "baseline memory latency".
 	AvgMissLatency float64
-	// P95MissLatency is its 95th percentile.
+	// P95MissLatency is the largest of the per-SM 95th percentiles of
+	// that round trip, not a GPU-wide 95th percentile: each SM's is
+	// the upper edge of the 64-cycle histogram bucket holding its rank
+	// (8192 past the histogram's range), and one congested SM sets the
+	// value. 0 when no SM recorded a miss.
 	P95MissLatency float64
 
 	// Queue occupancancies (§III): the paper reports L2AccessQueue

@@ -81,14 +81,6 @@ type StallBreakdown struct {
 // Add charges one cycle to cause.
 func (b *StallBreakdown) Add(c StallCause) { b.cycles[c]++ }
 
-// AddN charges n consecutive cycles to cause in one call, exactly as
-// n calls of Add would; tests use it to build breakdown fixtures.
-func (b *StallBreakdown) AddN(c StallCause, n int64) {
-	if n > 0 {
-		b.cycles[c] += n
-	}
-}
-
 // Cycles returns the cycles charged to cause.
 func (b *StallBreakdown) Cycles(c StallCause) int64 { return b.cycles[c] }
 

@@ -10,8 +10,8 @@ import (
 // order with stable bytes, and round-trips exactly.
 func TestStallBreakdownJSONStable(t *testing.T) {
 	var b StallBreakdown
-	b.AddN(StallIssue, 10)
-	b.AddN(StallDRAMQueue, 3)
+	b.cycles[StallIssue] += 10
+	b.cycles[StallDRAMQueue] += 3
 	data, err := json.Marshal(b)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package stats provides the measurement substrate for the simulator:
-// scalar counters, latency samplers with histograms, and queue-usage
-// trackers that implement the paper's "full for X% of usage lifetime"
-// metric (§III).
+// latency samplers with histograms, per-cycle stall attribution, and
+// queue-usage trackers that implement the paper's "full for X% of
+// usage lifetime" metric (§III).
 package stats
 
 import (
@@ -10,33 +10,9 @@ import (
 	"strings"
 )
 
-// Counter is a monotonically increasing event count. The zero value is
-// ready to use.
-type Counter struct {
-	n int64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta to the counter.
-func (c *Counter) Add(delta int64) { c.n += delta }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }
-
-// Ratio returns c/other, or 0 if other is zero. It is a convenience
-// for hit-rate style derived metrics.
-func (c *Counter) Ratio(other *Counter) float64 {
-	if other.n == 0 {
-		return 0
-	}
-	return float64(c.n) / float64(other.n)
-}
-
 // Sampler accumulates a stream of values (typically latencies) and
-// reports mean, min, max and a coarse histogram. The zero value is
-// ready to use.
+// reports their mean and histogram percentiles; it also tracks the
+// extremes. The zero value is ready to use.
 type Sampler struct {
 	count int64
 	sum   float64
@@ -78,12 +54,6 @@ func (s *Sampler) Mean() float64 {
 	return s.sum / float64(s.count)
 }
 
-// Min returns the smallest observation, or 0 with no observations.
-func (s *Sampler) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (s *Sampler) Max() float64 { return s.max }
-
 // Percentile returns the p-th percentile (0 < p <= 100) estimated from
 // the histogram, or NaN if the sampler has no histogram or no data.
 func (s *Sampler) Percentile(p float64) float64 {
@@ -92,9 +62,6 @@ func (s *Sampler) Percentile(p float64) float64 {
 	}
 	return s.hist.Percentile(p)
 }
-
-// Histogram returns the attached histogram (may be nil).
-func (s *Sampler) Histogram() *Histogram { return s.hist }
 
 // Histogram is a fixed-range linear histogram with an overflow bin.
 type Histogram struct {
@@ -155,15 +122,6 @@ func (h *Histogram) Percentile(p float64) float64 {
 	return h.limit
 }
 
-// Bucket returns the count in bin i.
-func (h *Histogram) Bucket(i int) int64 { return h.bins[i] }
-
-// NumBuckets returns the number of non-overflow bins.
-func (h *Histogram) NumBuckets() int { return len(h.bins) }
-
-// Overflow returns the number of observations at or above the limit.
-func (h *Histogram) Overflow() int64 { return h.over }
-
 // QueueUsage tracks a bounded queue's occupancy over time. The owning
 // component calls Sample once per clock cycle of its domain. The
 // paper's §III metric is FullOfUsage: the fraction of non-empty
@@ -200,9 +158,6 @@ func (q *QueueUsage) Capacity() int { return q.capacity }
 
 // SampledCycles returns how many cycles were observed.
 func (q *QueueUsage) SampledCycles() int64 { return q.sampled }
-
-// UsageCycles returns the number of cycles the queue was non-empty.
-func (q *QueueUsage) UsageCycles() int64 { return q.nonEmpty }
 
 // FullCycles returns the number of cycles the queue was at capacity.
 func (q *QueueUsage) FullCycles() int64 { return q.full }

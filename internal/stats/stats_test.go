@@ -6,27 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	if c.Value() != 0 {
-		t.Fatalf("zero value not zero: %d", c.Value())
-	}
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value())
-	}
-	var d Counter
-	d.Add(10)
-	if got := c.Ratio(&d); got != 0.5 {
-		t.Fatalf("ratio = %v, want 0.5", got)
-	}
-	var zero Counter
-	if got := c.Ratio(&zero); got != 0 {
-		t.Fatalf("ratio with zero denominator = %v, want 0", got)
-	}
-}
-
 func TestSamplerBasics(t *testing.T) {
 	s := NewSampler(100, 10)
 	for _, v := range []float64{10, 20, 30} {
@@ -38,14 +17,14 @@ func TestSamplerBasics(t *testing.T) {
 	if s.Mean() != 20 {
 		t.Fatalf("mean = %v, want 20", s.Mean())
 	}
-	if s.Min() != 10 || s.Max() != 30 {
-		t.Fatalf("min/max = %v/%v, want 10/30", s.Min(), s.Max())
+	if s.min != 10 || s.max != 30 {
+		t.Fatalf("min/max = %v/%v, want 10/30", s.min, s.max)
 	}
 }
 
 func TestSamplerEmpty(t *testing.T) {
 	s := NewSampler(10, 2)
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
+	if s.Mean() != 0 || s.min != 0 || s.max != 0 {
 		t.Fatalf("empty sampler should report zeros")
 	}
 	if !math.IsNaN(s.Percentile(50)) {
@@ -71,8 +50,8 @@ func TestHistogramOverflow(t *testing.T) {
 	h.Add(5)
 	h.Add(10)
 	h.Add(100)
-	if h.Overflow() != 2 {
-		t.Fatalf("overflow = %d, want 2", h.Overflow())
+	if h.over != 2 {
+		t.Fatalf("overflow = %d, want 2", h.over)
 	}
 	if h.Total() != 3 {
 		t.Fatalf("total = %d, want 3", h.Total())
@@ -85,7 +64,7 @@ func TestHistogramOverflow(t *testing.T) {
 func TestHistogramNegativeClamps(t *testing.T) {
 	h := NewHistogram(10, 2)
 	h.Add(-5)
-	if h.Bucket(0) != 1 {
+	if h.bins[0] != 1 {
 		t.Fatalf("negative value should land in bucket 0")
 	}
 }
@@ -110,8 +89,8 @@ func TestQueueUsageFullOfUsage(t *testing.T) {
 	if q.SampledCycles() != 5 {
 		t.Fatalf("sampled = %d", q.SampledCycles())
 	}
-	if q.UsageCycles() != 3 {
-		t.Fatalf("usage = %d, want 3", q.UsageCycles())
+	if q.nonEmpty != 3 {
+		t.Fatalf("usage = %d, want 3", q.nonEmpty)
 	}
 	if q.FullCycles() != 2 {
 		t.Fatalf("full = %d, want 2", q.FullCycles())
@@ -139,8 +118,8 @@ func TestQueueUsageMerge(t *testing.T) {
 	b.Sample(0)
 	b.Sample(2)
 	a.Merge(b)
-	if a.SampledCycles() != 3 || a.UsageCycles() != 2 || a.FullCycles() != 1 {
-		t.Fatalf("merge wrong: sampled=%d usage=%d full=%d", a.SampledCycles(), a.UsageCycles(), a.FullCycles())
+	if a.SampledCycles() != 3 || a.nonEmpty != 2 || a.FullCycles() != 1 {
+		t.Fatalf("merge wrong: sampled=%d usage=%d full=%d", a.SampledCycles(), a.nonEmpty, a.FullCycles())
 	}
 }
 
@@ -160,7 +139,7 @@ func TestQueueUsageProperty(t *testing.T) {
 		for _, l := range lengths {
 			q.Sample(int(l % 12))
 		}
-		return q.FullCycles() <= q.UsageCycles() && q.UsageCycles() <= q.SampledCycles()
+		return q.FullCycles() <= q.nonEmpty && q.nonEmpty <= q.SampledCycles()
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)

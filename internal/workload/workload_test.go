@@ -228,7 +228,7 @@ func TestLanesStayWithinLines(t *testing.T) {
 			// Generated streams emit the coalesced line list; the
 			// 32-lane view it stands for must expand to addresses
 			// inside those lines and reduce back to exactly the list.
-			lanes = ExpandLanes(lanes, in.Lines, 32, 128)
+			lanes = expandLanes(lanes, in.Lines, 32, 128)
 			if len(lanes) != 32 {
 				t.Fatalf("%s: %d lanes, want 32", name, len(lanes))
 			}
@@ -317,4 +317,29 @@ func TestRegisterPanicsOnDuplicate(t *testing.T) {
 		SpecName: "cfd", Warps: 1, ComputePerMem: 1, DepDist: 1,
 		AccessPattern: Streaming, WorkingSetLines: 8, LinesPerAccess: 1,
 	})
+}
+
+// expandLanes reconstructs the per-lane byte addresses a generated
+// memory instruction stands for: lane i reads lines[i%n] at byte
+// offset i*4%lineSize. The generators emit only the coalesced
+// Instr.Lines; tests that pin the lane-level view expand it with this
+// single definition. Note the expansion distributes lanes over the
+// *distinct* line list — for the built-in patterns an access repeating
+// a line is a degenerate wrap, and the coalesced transaction set
+// (which is all the SM ever consumed) is identical either way.
+func expandLanes(dst []uint64, lines []uint64, lanesPerWarp int, lineSize uint64) []uint64 {
+	dst = dst[:0]
+	n := uint64(len(lines))
+	li, off := uint64(0), uint64(0)
+	for i := 0; i < lanesPerWarp; i++ {
+		dst = append(dst, lines[li]+off)
+		if li++; li == n {
+			li = 0
+		}
+		off += 4
+		for off >= lineSize {
+			off -= lineSize
+		}
+	}
+	return dst
 }

@@ -185,9 +185,22 @@ type SM struct {
 	ldstQ   *queue.Queue[tx]
 	missQ   *queue.Queue[*mem.Request]
 	respQ   *queue.Queue[*mem.Packet]
-	drain   memDrain // active memory instruction (single issue register)
+	ticks   queue.Clock // missQ's occupancy clock
+	drain   memDrain    // active memory instruction (single issue register)
 	drainOn bool
 	hitPipe queue.Ring[hitDone]
+
+	// headStall memoizes a blocked LDST head: the stall counter
+	// (StallMSHR, StallMissQ, StallResFail or StallStoreQ) its last
+	// attempt charged, or nil. While it is set, accessL1 charges it
+	// again in O(1) instead of re-probing the L1 and the MSHR. Only
+	// two events can unblock a head, and both clear it: a processed
+	// response (the fill changes the line's tag state; the MSHR
+	// release frees an entry, its merge slots and a reservable way)
+	// and, for the two miss-queue reasons, the miss queue having room.
+	// The head only leaves through accessL1's full path. A bypass fill
+	// policy never memoizes: its ShouldFill keeps state per call.
+	headStall *int64
 
 	backend  Backend
 	nextID   *uint64
@@ -265,7 +278,6 @@ func NewSM(id int, cfg config.Config, streams []InstrStream, backend Backend, ne
 		}),
 		mshr:        cache.NewMSHR(cfg.L1.MSHREntries, cfg.L1.MSHRMaxMerge),
 		ldstQ:       queue.New[tx](fmt.Sprintf("sm%d.ldst", id), cfg.Core.MemPipelineWidth),
-		missQ:       queue.New[*mem.Request](fmt.Sprintf("sm%d.miss", id), cfg.L1.MissQueue),
 		respQ:       queue.New[*mem.Packet](fmt.Sprintf("sm%d.resp", id), cfg.Core.ResponseQueue),
 		backend:     backend,
 		nextID:      nextID,
@@ -273,6 +285,7 @@ func NewSM(id int, cfg config.Config, streams []InstrStream, backend Backend, ne
 		missLat:     stats.NewSampler(8192, 128),
 		coalesceBuf: make([]uint64, 0, 32),
 	}
+	sm.missQ = queue.NewTracked[*mem.Request](fmt.Sprintf("sm%d.miss", id), cfg.L1.MissQueue, &sm.ticks)
 	// Prime the readiness masks. This fetches each warp's first
 	// instruction; streams are private per warp, so consuming them at
 	// construction instead of first issue changes nothing observable.
@@ -315,8 +328,8 @@ func (s *SM) MSHRStats() cache.MSHRStats { return s.mshr.Stats() }
 // MissLatency samples the L1-miss round trip (miss issue → fill).
 func (s *SM) MissLatency() *stats.Sampler { return s.missLat }
 
-// MissQueueUsage exposes the L1 miss-queue occupancy tracker.
-func (s *SM) MissQueueUsage() *stats.QueueUsage { return s.missQ.Usage() }
+// MissQueueUsage returns the L1 miss queue's occupancy counters.
+func (s *SM) MissQueueUsage() stats.QueueUsage { return s.missQ.Usage() }
 
 // Pending returns in-flight work items, for drain checks in tests.
 func (s *SM) Pending() int {
@@ -337,7 +350,7 @@ func (s *SM) Tick(cycle int64) {
 		s.stats.Cycles++
 		s.stats.StallNoWarp++
 		s.stalls.Add(s.stallCause())
-		s.missQ.Sample()
+		s.ticks.Tick()
 		return
 	}
 	s.sleepUntil = 0
@@ -348,8 +361,7 @@ func (s *SM) Tick(cycle int64) {
 	s.forwardMisses()
 	s.drainMemInstr()
 	s.issue(cycle)
-
-	s.missQ.Sample()
+	s.ticks.Tick()
 }
 
 // processResponses applies one fill per cycle: the L1 fill port.
@@ -359,6 +371,7 @@ func (s *SM) processResponses(cycle int64) {
 		return
 	}
 	s.respQ.Pop()
+	s.headStall = nil
 	line := pkt.Req.LineAddr()
 	if !pkt.Req.NoFill {
 		s.l1.Fill(line, cycle, false)
@@ -398,6 +411,13 @@ func (s *SM) completeHits(cycle int64) {
 // per cycle. Structural failures leave the head in place (the
 // "reservation failure" stall of §I implication ②).
 func (s *SM) accessL1(cycle int64) {
+	if c := s.headStall; c != nil {
+		if s.missQ.Full() || (c != &s.stats.StallMissQ && c != &s.stats.StallStoreQ) {
+			*c++
+			return
+		}
+		s.headStall = nil
+	}
 	t, ok := s.ldstQ.Peek()
 	if !ok {
 		return
@@ -408,7 +428,7 @@ func (s *SM) accessL1(cycle int64) {
 	// Lookup happens exactly once, when the access is consumed.
 	if t.tracker == nil { // store: write-through, no-allocate
 		if s.missQ.Full() {
-			s.stats.StallStoreQ++
+			s.block(&s.stats.StallStoreQ)
 			return
 		}
 		s.l1.Lookup(line, true, cycle)
@@ -430,7 +450,7 @@ func (s *SM) accessL1(cycle int64) {
 		s.pool.PutRequest(t.req)
 	case cache.HitReserved:
 		if !s.mshr.CanMerge(line) {
-			s.stats.StallMSHR++
+			s.block(&s.stats.StallMSHR)
 			return
 		}
 		s.l1.Lookup(line, false, cycle)
@@ -446,7 +466,7 @@ func (s *SM) accessL1(cycle int64) {
 			// line (unreachable with fill-always). Merge like the
 			// HitReserved arm instead of allocating a second entry.
 			if !s.mshr.CanMerge(line) {
-				s.stats.StallMSHR++
+				s.block(&s.stats.StallMSHR)
 				return
 			}
 			s.l1.Lookup(line, false, cycle)
@@ -458,16 +478,16 @@ func (s *SM) accessL1(cycle int64) {
 			return
 		}
 		if s.mshr.Full() {
-			s.stats.StallMSHR++
+			s.block(&s.stats.StallMSHR)
 			return
 		}
 		if s.missQ.Full() {
-			s.stats.StallMissQ++
+			s.block(&s.stats.StallMissQ)
 			return
 		}
 		fill := !s.mayBypass || s.fillPol.ShouldFill(line)
 		if fill && !s.l1.CanReserve(line) {
-			s.stats.StallResFail++
+			s.block(&s.stats.StallResFail)
 			return
 		}
 		s.l1.Lookup(line, false, cycle)
@@ -488,6 +508,15 @@ func (s *SM) accessL1(cycle int64) {
 		t.req.IssueCycle = cycle
 		s.missQ.Push(t.req)
 		s.ldstQ.Pop()
+	}
+}
+
+// block charges the LDST head's stall counter c for this cycle and
+// memoizes it (see headStall).
+func (s *SM) block(c *int64) {
+	*c++
+	if !s.mayBypass {
+		s.headStall = c
 	}
 }
 

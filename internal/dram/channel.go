@@ -59,7 +59,9 @@ type Channel struct {
 	cfg     config.DRAMConfig
 	addrMap AddrMap
 	schedQ  *queue.Queue[schedEntry]
-	banks   []bank
+	// ticks is the scheduler queue's occupancy clock.
+	ticks queue.Clock
+	banks []bank
 	// busFreeAt is the first cycle the shared data bus is free.
 	busFreeAt int64
 	// inflight holds issued accesses awaiting completion, ordered by
@@ -89,13 +91,13 @@ func NewChannel(id int, cfg config.DRAMConfig, lineSize, partitions int, sink Re
 		cfg: cfg,
 		addrMap: NewHashedAddrMap(lineSize, partitions, cfg.RowBytes,
 			cfg.BanksPerChip, cfg.BankHash == "xor"),
-		schedQ:       queue.New[schedEntry](fmt.Sprintf("dram%d.sched", id), cfg.SchedQueue),
 		banks:        banks,
 		sink:         sink,
 		burst:        cfg.BurstCycles(lineSize),
 		lastActivate: -1 << 20,
 		nextRefresh:  cfg.Timing.TREFI,
 	}
+	ch.schedQ = queue.NewTracked[schedEntry](fmt.Sprintf("dram%d.sched", id), cfg.SchedQueue, &ch.ticks)
 	for i := range ch.actWindow {
 		ch.actWindow[i] = -1 << 20
 	}
@@ -108,7 +110,11 @@ func NewChannel(id int, cfg config.DRAMConfig, lineSize, partitions int, sink Re
 func (c *Channel) UsePool(p *mem.Pool) { c.pool = p }
 
 // Push enqueues a request into the scheduler queue; false means full.
+// A refused request is not decoded.
 func (c *Channel) Push(req *mem.Request) bool {
+	if c.schedQ.Full() {
+		return false
+	}
 	return c.schedQ.Push(schedEntry{req: req, co: c.addrMap.Decode(req.LineAddr())})
 }
 
@@ -118,8 +124,8 @@ func (c *Channel) Push(req *mem.Request) bool {
 // cycles to a level.
 func (c *Channel) SchedFull() bool { return c.schedQ.Full() }
 
-// SchedUsage exposes the scheduler queue's occupancy tracker (§III).
-func (c *Channel) SchedUsage() *stats.QueueUsage { return c.schedQ.Usage() }
+// SchedUsage returns the scheduler queue's occupancy counters (§III).
+func (c *Channel) SchedUsage() stats.QueueUsage { return c.schedQ.Usage() }
 
 // Stats returns a copy of the event counters.
 func (c *Channel) Stats() Stats { return c.stats }
@@ -141,7 +147,7 @@ func (c *Channel) Tick(cycle int64) {
 	c.refresh(cycle)
 	c.drainCompletions(cycle)
 	c.issue(cycle)
-	c.schedQ.Sample()
+	c.ticks.Tick()
 }
 
 // refresh performs an all-bank refresh every tREFI cycles: rows close

@@ -70,7 +70,9 @@ type Stats struct {
 type Crossbar struct {
 	cfg    Config
 	inputs []*queue.Queue[*mem.Packet]
-	ports  []outPort
+	// ticks is the inputs' occupancy clock.
+	ticks queue.Clock
+	ports []outPort
 	// fullInputs counts input buffers at capacity (AnyInputFull).
 	fullInputs int
 	sink       Sink
@@ -109,7 +111,7 @@ func New(cfg Config, sink Sink) *Crossbar {
 		sink:   sink,
 	}
 	for i := range c.inputs {
-		c.inputs[i] = queue.New[*mem.Packet](fmt.Sprintf("%s.in%d", cfg.Name, i), cfg.InputBuffer)
+		c.inputs[i] = queue.NewTracked[*mem.Packet](fmt.Sprintf("%s.in%d", cfg.Name, i), cfg.InputBuffer, &c.ticks)
 	}
 	words := (cfg.Inputs + 63) / 64
 	masks := make([]uint64, cfg.Outputs*words)
@@ -139,6 +141,18 @@ func (c *Crossbar) Push(src int, pkt *mem.Packet) bool {
 	}
 	if in.Full() {
 		c.fullInputs++
+	}
+	return true
+}
+
+// Admit reports whether input src has room for one more packet. A
+// refusal counts as a refused Push, so a sender can check before it
+// builds the packet and the crossbar's statistics stay those of
+// pushing it.
+func (c *Crossbar) Admit(src int) bool {
+	if c.inputs[src].Full() {
+		c.stats.InputFullRejects++
+		return false
 	}
 	return true
 }
@@ -183,9 +197,7 @@ func (c *Crossbar) Tick(cycle int64) {
 			}
 		}
 	}
-	for _, in := range c.inputs {
-		in.Sample()
-	}
+	c.ticks.Tick()
 }
 
 // arbitrate grants p, which has at least one head waiting, the first
@@ -226,9 +238,9 @@ func (c *Crossbar) arbitrate(p *outPort) {
 // Stats returns a copy of the event counters.
 func (c *Crossbar) Stats() Stats { return c.stats }
 
-// InputUsages returns the occupancy trackers of all input queues.
-func (c *Crossbar) InputUsages() []*stats.QueueUsage {
-	us := make([]*stats.QueueUsage, len(c.inputs))
+// InputUsages returns the occupancy counters of all input queues.
+func (c *Crossbar) InputUsages() []stats.QueueUsage {
+	us := make([]stats.QueueUsage, len(c.inputs))
 	for i, q := range c.inputs {
 		us[i] = q.Usage()
 	}

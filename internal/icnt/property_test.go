@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/queue"
+	"repro/internal/stats"
 )
 
 // boundedSink accepts up to free slots per destination per drain call,
@@ -119,9 +120,13 @@ func deliveredCount(s *boundedSink) int { return len(s.got) }
 // scanCrossbar is the crossbar's original arbiter, kept as the
 // reference the head-mask arbiter is checked against: every idle
 // output peeks every input head, starting after its last-served input.
+// Its inputs are untracked; it samples their lengths every tick, the
+// per-tick statistics path the crossbar's change-driven counters
+// replace.
 type scanCrossbar struct {
 	cfg       Config
 	inputs    []*queue.Queue[*mem.Packet]
+	samples   []tickSamples
 	current   []*mem.Packet
 	remaining []int
 	rr        []int
@@ -129,10 +134,27 @@ type scanCrossbar struct {
 	stats     Stats
 }
 
+// tickSamples folds one input's per-tick length samples.
+type tickSamples struct {
+	sampled, nonEmpty, full, occSum int64
+}
+
+func (o *tickSamples) sample(q *queue.Queue[*mem.Packet]) {
+	o.sampled++
+	o.occSum += int64(q.Len())
+	if !q.Empty() {
+		o.nonEmpty++
+	}
+	if q.Full() {
+		o.full++
+	}
+}
+
 func newScanCrossbar(cfg Config, sink Sink) *scanCrossbar {
 	c := &scanCrossbar{
 		cfg:       cfg,
 		inputs:    make([]*queue.Queue[*mem.Packet], cfg.Inputs),
+		samples:   make([]tickSamples, cfg.Inputs),
 		current:   make([]*mem.Packet, cfg.Outputs),
 		remaining: make([]int, cfg.Outputs),
 		rr:        make([]int, cfg.Outputs),
@@ -176,8 +198,8 @@ func (c *scanCrossbar) Tick(cycle int64) {
 			}
 		}
 	}
-	for _, in := range c.inputs {
-		in.Sample()
+	for i, in := range c.inputs {
+		c.samples[i].sample(in)
 	}
 }
 
@@ -354,12 +376,12 @@ func TestHeadMaskArbitrationMatchesScan(t *testing.T) {
 			if !reflect.DeepEqual(xs.got, rs.got) {
 				t.Fatalf("%dx%d seed %d: delivery sequences differ", sh.ins, sh.outs, seed)
 			}
-			for i, u := range x.InputUsages() {
-				// Every counter must match; only the queue names differ.
-				got, want := *u, *ref.inputs[i].Usage()
-				got.Name, want.Name = "", ""
+			for i, got := range x.InputUsages() {
+				// Every counter must match per-tick sampling.
+				o := ref.samples[i]
+				want := stats.NewQueueUsage(got.Name, cfg.InputBuffer, o.sampled, o.nonEmpty, o.full, o.occSum)
 				if got != want {
-					t.Fatalf("%dx%d seed %d: input %d occupancy differs from reference", sh.ins, sh.outs, seed, i)
+					t.Fatalf("%dx%d seed %d: input %d occupancy %+v, per-tick sampling %+v", sh.ins, sh.outs, seed, i, got, want)
 				}
 			}
 		}

@@ -63,6 +63,8 @@ type Partition struct {
 	missQ   *queue.Queue[*mem.Request] // L2 → DRAM (Table I "L2 miss queue")
 	respQ   *queue.Queue[*mem.Packet]  // L2 → icnt (Table I "L2 response queue")
 	retQ    *queue.Queue[*mem.Request] // DRAM → L2 fill return
+	// ticks is the four queues' occupancy clock.
+	ticks queue.Clock
 
 	l2   *cache.Cache
 	mshr *cache.MSHR
@@ -110,12 +112,8 @@ func New(id int, cfg config.Config, resp Injector, nextID *uint64) *Partition {
 		victim = l2Pol
 	}
 	p := &Partition{
-		id:      id,
-		cfg:     cfg,
-		accessQ: queue.New[*mem.Packet](fmt.Sprintf("l2p%d.access", id), cfg.L2.AccessQueue),
-		missQ:   queue.New[*mem.Request](fmt.Sprintf("l2p%d.miss", id), cfg.L2.MissQueue),
-		respQ:   queue.New[*mem.Packet](fmt.Sprintf("l2p%d.resp", id), cfg.L2.ResponseQueue),
-		retQ:    queue.New[*mem.Request](fmt.Sprintf("l2p%d.ret", id), cfg.L2.DRAMReturnQueue),
+		id:  id,
+		cfg: cfg,
 		l2: cache.New(cache.Config{
 			Sets: cfg.L2.Sets, Ways: cfg.L2.Ways, LineSize: ls,
 			Replacement: cfg.L2.Replacement, WriteBack: true,
@@ -129,6 +127,10 @@ func New(id int, cfg config.Config, resp Injector, nextID *uint64) *Partition {
 		lineShift:     uint(trailingZeros(ls)),
 		nextID:        nextID,
 	}
+	p.accessQ = queue.NewTracked[*mem.Packet](fmt.Sprintf("l2p%d.access", id), cfg.L2.AccessQueue, &p.ticks)
+	p.missQ = queue.NewTracked[*mem.Request](fmt.Sprintf("l2p%d.miss", id), cfg.L2.MissQueue, &p.ticks)
+	p.respQ = queue.NewTracked[*mem.Packet](fmt.Sprintf("l2p%d.resp", id), cfg.L2.ResponseQueue, &p.ticks)
+	p.retQ = queue.NewTracked[*mem.Request](fmt.Sprintf("l2p%d.ret", id), cfg.L2.DRAMReturnQueue, &p.ticks)
 	p.chn = dram.NewChannel(id, cfg.DRAM, ls, cfg.L2.Partitions, retSink{p})
 	return p
 }
@@ -172,22 +174,23 @@ func (p *Partition) CacheStats() cache.Stats { return p.l2.Stats() }
 // MSHRStats returns the L2 MSHR counters.
 func (p *Partition) MSHRStats() cache.MSHRStats { return p.mshr.Stats() }
 
-// AccessUsage exposes the access queue tracker (§III, 46% in paper).
-func (p *Partition) AccessUsage() *stats.QueueUsage { return p.accessQ.Usage() }
+// AccessUsage returns the access queue's occupancy counters (§III,
+// 46% in paper).
+func (p *Partition) AccessUsage() stats.QueueUsage { return p.accessQ.Usage() }
 
 // AccessFull reports whether the access queue is at capacity right
 // now — the partition is stalling its upstream. The stall-attribution
 // engine reads it when charging SM memory-wait cycles to a level.
 func (p *Partition) AccessFull() bool { return p.accessQ.Full() }
 
-// MissUsage exposes the miss queue tracker.
-func (p *Partition) MissUsage() *stats.QueueUsage { return p.missQ.Usage() }
+// MissUsage returns the miss queue's occupancy counters.
+func (p *Partition) MissUsage() stats.QueueUsage { return p.missQ.Usage() }
 
-// RespUsage exposes the response queue tracker.
-func (p *Partition) RespUsage() *stats.QueueUsage { return p.respQ.Usage() }
+// RespUsage returns the response queue's occupancy counters.
+func (p *Partition) RespUsage() stats.QueueUsage { return p.respQ.Usage() }
 
-// ReturnUsage exposes the DRAM return queue tracker.
-func (p *Partition) ReturnUsage() *stats.QueueUsage { return p.retQ.Usage() }
+// ReturnUsage returns the DRAM return queue's occupancy counters.
+func (p *Partition) ReturnUsage() stats.QueueUsage { return p.retQ.Usage() }
 
 // Pending returns in-flight work, for drain checks in tests.
 func (p *Partition) Pending() int {
@@ -214,11 +217,7 @@ func (p *Partition) Tick(cycle int64) {
 	p.processAccesses(cycle)
 	p.forwardMisses()
 	p.injectResponses()
-
-	p.accessQ.Sample()
-	p.missQ.Sample()
-	p.respQ.Sample()
-	p.retQ.Sample()
+	p.ticks.Tick()
 }
 
 // completeHits moves finished hit accesses into the response queue. A

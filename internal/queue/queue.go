@@ -11,27 +11,58 @@ import (
 	"repro/internal/stats"
 )
 
+// Clock is a queue owner's occupancy clock: the count of the owner's
+// ticks so far. The owner calls Tick once per cycle of its clock
+// domain, at the point of its tick where its queues' lengths count for
+// that cycle; a queue tracked on the clock reads it on every change.
+// The zero value is ready to use.
+type Clock struct{ now int64 }
+
+// Tick counts one owner tick.
+func (c *Clock) Tick() { c.now++ }
+
+// untracked is the clock of queues built by New: it never ticks, so
+// their counters stay zero.
+var untracked Clock
+
 // Queue is a bounded FIFO with occupancy accounting. It is implemented
-// as a ring buffer; the zero value is not usable — construct with New.
+// as a ring buffer; the zero value is not usable — construct with New
+// or NewTracked.
+//
+// Occupancy is integrated on change, not sampled per tick: dwell[n]
+// holds the number of clock ticks the queue has spent at length n. A
+// change of length at clock reading now closes the old length's span
+// (dwell[old] += now) and opens the new one's (dwell[new] -= now);
+// the open span of the current length is added at read time. Usage
+// therefore returns exactly the counters a per-tick sample of Len at
+// every Clock.Tick would give, while Push and Pop do no per-tick work
+// and take no branch on the clock.
 type Queue[T any] struct {
 	name  string
 	buf   []T
 	head  int
 	size  int
-	usage *stats.QueueUsage
+	clock *Clock
+	dwell []int64 // per length 0..Cap, ticks spent there since base
+	base  int64   // clock reading at the last ResetUsage
 }
 
-// New returns a queue with the given capacity. Capacity must be
-// positive.
+// New returns an untracked queue with the given capacity: its Usage
+// stays zero. Capacity must be positive.
 func New[T any](name string, capacity int) *Queue[T] {
+	return NewTracked[T](name, capacity, &untracked)
+}
+
+// NewTracked returns a queue whose occupancy is counted on the
+// owner's clock. Capacity must be positive.
+func NewTracked[T any](name string, capacity int, clock *Clock) *Queue[T] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("queue: capacity must be positive, got %d (%s)", capacity, name))
 	}
-	return &Queue[T]{
-		name:  name,
-		buf:   make([]T, capacity),
-		usage: stats.NewQueueUsage(name, capacity),
-	}
+	q := &Queue[T]{name: name, buf: make([]T, capacity), clock: clock,
+		dwell: make([]int64, capacity+1)}
+	q.ResetUsage()
+	return q
 }
 
 // Name returns the queue's diagnostic name.
@@ -59,7 +90,10 @@ func (q *Queue[T]) Push(v T) bool {
 		return false
 	}
 	q.buf[(q.head+q.size)%len(q.buf)] = v
+	now := q.clock.now
+	q.dwell[q.size] += now
 	q.size++
+	q.dwell[q.size] -= now
 	return true
 }
 
@@ -72,8 +106,16 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 	var zero T
 	q.buf[q.head] = zero
 	q.head = (q.head + 1) % len(q.buf)
-	q.size--
+	q.leave()
 	return v, true
+}
+
+// leave does the occupancy accounting of one item leaving.
+func (q *Queue[T]) leave() {
+	now := q.clock.now
+	q.dwell[q.size] += now
+	q.size--
+	q.dwell[q.size] -= now
 }
 
 // Peek returns the oldest item without removing it. ok is false when
@@ -121,17 +163,36 @@ func (q *Queue[T]) Remove(i int) T {
 	}
 	var zero T
 	q.buf[(q.head+q.size-1)%len(q.buf)] = zero
-	q.size--
+	q.leave()
 	return v
 }
 
-// Sample records this cycle's occupancy in the usage tracker. The
-// owning component calls it exactly once per cycle of its clock domain.
-func (q *Queue[T]) Sample() { q.usage.Sample(q.size) }
+// Usage returns the queue's occupancy counters since the last
+// ResetUsage: the ticks of its clock, how many of them found it
+// non-empty and how many full, and its length summed over them.
+// Reading them does not allocate.
+func (q *Queue[T]) Usage() stats.QueueUsage {
+	now, capacity := q.clock.now, len(q.buf)
+	occ := int64(q.size) * now // the current length's span is open
+	for n, d := range q.dwell {
+		occ += int64(n) * d
+	}
+	empty, full := q.dwell[0], q.dwell[capacity]
+	switch q.size {
+	case 0:
+		empty += now
+	case capacity:
+		full += now
+	}
+	sampled := now - q.base
+	return stats.NewQueueUsage(q.name, capacity, sampled, sampled-empty, full, occ)
+}
 
-// Usage returns the occupancy tracker for reporting.
-func (q *Queue[T]) Usage() *stats.QueueUsage { return q.usage }
-
-// ResetUsage zeroes the occupancy tracker for a new measurement
-// window; queued items are untouched.
-func (q *Queue[T]) ResetUsage() { q.usage.Reset() }
+// ResetUsage zeroes the occupancy counters for a new measurement
+// window; queued items are untouched and count from here on.
+func (q *Queue[T]) ResetUsage() {
+	now := q.clock.now
+	clear(q.dwell)
+	q.dwell[q.size] = -now
+	q.base = now
+}

@@ -136,16 +136,21 @@ func TestZeroCapacityPanics(t *testing.T) {
 }
 
 func TestUsageSampling(t *testing.T) {
-	q := New[int]("t", 2)
-	q.Sample() // empty
+	var clock Clock
+	q := NewTracked[int]("t", 2, &clock)
+	clock.Tick() // empty
 	q.Push(1)
-	q.Sample() // non-empty
+	clock.Tick() // non-empty
 	q.Push(2)
-	q.Sample() // full
+	clock.Tick() // full
 	u := q.Usage()
 	// One full cycle out of two non-empty ones.
-	if u.SampledCycles() != 3 || u.FullOfUsage() != 0.5 || u.FullCycles() != 1 {
-		t.Fatalf("usage: sampled=%d full-of-usage=%v full=%d", u.SampledCycles(), u.FullOfUsage(), u.FullCycles())
+	if u.SampledCycles() != 3 || u.FullOfUsage() != 0.5 || u.FullCycles() != 1 || u.MeanOccupancy() != 1 {
+		t.Fatalf("usage: sampled=%d full-of-usage=%v full=%d mean=%v",
+			u.SampledCycles(), u.FullOfUsage(), u.FullCycles(), u.MeanOccupancy())
+	}
+	if u := New[int]("untracked", 2).Usage(); u.SampledCycles() != 0 {
+		t.Fatalf("untracked queue sampled %d ticks", u.SampledCycles())
 	}
 }
 

@@ -120,7 +120,7 @@ func (g *GPU) Results() Results {
 	var missLatSum float64
 	var missLatN int64
 	var p95Max float64
-	var l1MissU agg
+	var l1MissU stats.QueueUsage
 
 	for _, sm := range g.sms {
 		st := sm.Stats()
@@ -143,7 +143,7 @@ func (g *GPU) Results() Results {
 		r.L1.Misses += cs.Misses
 		r.L1.HitsReserved += cs.HitsReserved
 		r.L1.ReservationFails += cs.ReservationFails
-		l1MissU.add(sm.MissQueueUsage())
+		l1MissU.Merge(sm.MissQueueUsage())
 
 		ml := sm.MissLatency()
 		missLatSum += ml.Mean() * float64(ml.Count())
@@ -162,10 +162,10 @@ func (g *GPU) Results() Results {
 		r.AvgMissLatency = missLatSum / float64(missLatN)
 	}
 	r.P95MissLatency = p95Max
-	r.L1MissQueue = l1MissU.occ()
+	r.L1MissQueue = occOf(l1MissU)
 
 	if len(g.parts) > 0 {
-		var accessU, missU, respU, retU, schedU agg
+		var accessU, missU, respU, retU, schedU stats.QueueUsage
 		var dramTicks, busBusy int64
 		var rowHits, rowTotal int64
 		var l2Ticks, l2InFull, dramInFull int64
@@ -177,11 +177,11 @@ func (g *GPU) Results() Results {
 			r.L2.HitsReserved += cs.HitsReserved
 			r.L2.ReservationFails += cs.ReservationFails
 
-			accessU.add(p.AccessUsage())
-			missU.add(p.MissUsage())
-			respU.add(p.RespUsage())
-			retU.add(p.ReturnUsage())
-			schedU.add(p.Channel().SchedUsage())
+			accessU.Merge(p.AccessUsage())
+			missU.Merge(p.MissUsage())
+			respU.Merge(p.RespUsage())
+			retU.Merge(p.ReturnUsage())
+			schedU.Merge(p.Channel().SchedUsage())
 
 			ds := p.Channel().Stats()
 			r.DRAMReads += ds.Reads
@@ -197,11 +197,11 @@ func (g *GPU) Results() Results {
 		if r.L2.Accesses > 0 {
 			r.L2.MissRate = float64(r.L2.Misses+r.L2.HitsReserved) / float64(r.L2.Accesses)
 		}
-		r.L2AccessQueue = accessU.occ()
-		r.L2MissQueue = missU.occ()
-		r.L2RespQueue = respU.occ()
-		r.DRAMRetQueue = retU.occ()
-		r.DRAMSchedQueue = schedU.occ()
+		r.L2AccessQueue = occOf(accessU)
+		r.L2MissQueue = occOf(missU)
+		r.L2RespQueue = occOf(respU)
+		r.DRAMRetQueue = occOf(retU)
+		r.DRAMSchedQueue = occOf(schedU)
 		if rowTotal > 0 {
 			r.DRAMRowHitRate = float64(rowHits) / float64(rowTotal)
 		}
@@ -229,7 +229,7 @@ func (g *GPU) Results() Results {
 func isNaN(f float64) bool { return f != f }
 
 // sumSampled totals the sampled queue-cycles of a tracker family.
-func sumSampled(us []*stats.QueueUsage) int64 {
+func sumSampled(us []stats.QueueUsage) int64 {
 	var n int64
 	for _, u := range us {
 		n += u.SampledCycles()
@@ -240,7 +240,7 @@ func sumSampled(us []*stats.QueueUsage) int64 {
 // fullFrac is the share of a tracker family's sampled queue-cycles
 // spent at capacity: ΣFullCycles / ΣSampledCycles, the per-queue
 // average back pressure of a crossbar's inputs (0 if never sampled).
-func fullFrac(us []*stats.QueueUsage) float64 {
+func fullFrac(us []stats.QueueUsage) float64 {
 	var full int64
 	for _, u := range us {
 		full += u.FullCycles()
@@ -251,28 +251,12 @@ func fullFrac(us []*stats.QueueUsage) float64 {
 	return 0
 }
 
-// agg folds queue trackers of the same family together.
-type agg struct {
-	merged *stats.QueueUsage
-	cap    int
-}
-
-func (a *agg) add(u *stats.QueueUsage) {
-	if a.merged == nil {
-		a.merged = stats.NewQueueUsage(u.Name, u.Capacity())
-		a.cap = u.Capacity()
-	}
-	a.merged.Merge(u)
-}
-
-func (a *agg) occ() QueueOcc {
-	if a.merged == nil {
-		return QueueOcc{}
-	}
+// occOf reports a family of queues' merged counters.
+func occOf(u stats.QueueUsage) QueueOcc {
 	return QueueOcc{
-		FullOfUsage:   a.merged.FullOfUsage(),
-		MeanOccupancy: a.merged.MeanOccupancy(),
-		Capacity:      a.cap,
+		FullOfUsage:   u.FullOfUsage(),
+		MeanOccupancy: u.MeanOccupancy(),
+		Capacity:      u.Capacity(),
 	}
 }
 

@@ -25,11 +25,33 @@
 //     lbm at a fixed 2000-cycle latency used about 10% more CPU
 //     (2-vCPU Xeon at 2.1 GHz). An SM that is idle (only a response
 //     delivery wakes it) or hit-waiting short of its oldest in-flight
-//     L1 hit charges the cycle, a no-warp stall, its stall cause and
-//     the empty miss-queue sample, and skips the rest. The SM selects
+//     L1 hit charges the cycle, a no-warp stall and its stall cause,
+//     ticks its queue clock, and skips the rest. The SM selects
 //     it from state it observes itself, and each side of that choice
 //     has its workload: over the 8-benchmark suite, 28% of SM ticks
 //     are frozen at a fixed 2000-cycle latency, 0.1% in real memory.
+//   - Queue statistics are change-driven. Each queue owner (SM, L2
+//     partition, DRAM channel, crossbar) keeps one queue.Clock and
+//     ticks it at the point of its Tick where it used to sample its
+//     queues; a tracked queue books each length change on Push, Pop
+//     and Remove against that clock, so a queue that does not change
+//     costs nothing per cycle. Its counters (ticks, non-empty ticks,
+//     full ticks, summed length) equal per-tick sampling exactly,
+//     which internal/queue's differential test holds against a
+//     per-tick oracle. The L2 and DRAM InFullCycles counts read the
+//     input queue at tick start, a different point, and stay per-tick.
+//   - A blocked LDST head costs O(1) per cycle. The SM memoizes the
+//     stall counter the head charged (MSHR, miss queue, reservation
+//     failure or store queue) and charges it again without probing
+//     the L1 or the MSHR. Only two events release it: a processed
+//     response (its fill changes the line's tag state, its MSHR
+//     release frees an entry, merge slots and a reservable way) and,
+//     for the two miss-queue reasons, room in the miss queue. Under
+//     a bypass fill policy nothing is memoized.
+//   - A refused hand-off builds nothing: SendMiss asks the request
+//     crossbar to Admit before it hashes the partition or draws a
+//     packet, and a DRAM channel's Push checks for room before it
+//     decodes the address. Refusals are counted as before.
 //   - Crossbars stamp a delivered packet's ReadyAt in interconnect
 //     cycles; the sinks convert it to the receiver's clock (L2 or
 //     core), so a clock ratio other than 1 keeps the wire latency.
@@ -227,8 +249,13 @@ type realBackend struct {
 	sm int
 }
 
-// SendMiss implements core.Backend.
+// SendMiss implements core.Backend. A full crossbar input refuses the
+// miss before its partition is hashed or a packet is drawn: the SM
+// retries next cycle.
 func (b realBackend) SendMiss(req *mem.Request) bool {
+	if !b.g.reqX.Admit(b.sm) {
+		return false
+	}
 	part := b.g.addrMap.Partition(req.LineAddr())
 	req.PartitionID = part
 	pkt := b.g.pool.GetPacket()
@@ -236,11 +263,7 @@ func (b realBackend) SendMiss(req *mem.Request) bool {
 		Req: req, Src: b.sm, Dst: part,
 		SizeBytes: mem.RequestPacketBytes(req),
 	}
-	if !b.g.reqX.Push(b.sm, pkt) {
-		b.g.pool.PutPacket(pkt) // input buffer full: retry next cycle
-		return false
-	}
-	return true
+	return b.g.reqX.Push(b.sm, pkt)
 }
 
 // MemStallCause implements core.Backend: the GPU-wide hierarchical

@@ -1,6 +1,6 @@
 // Package stats provides the measurement substrate for the simulator:
 // latency samplers with histograms, per-cycle stall attribution, and
-// queue-usage trackers that implement the paper's "full for X% of
+// queue-usage counters that implement the paper's "full for X% of
 // usage lifetime" metric (§III).
 package stats
 
@@ -11,13 +11,11 @@ import (
 )
 
 // Sampler accumulates a stream of values (typically latencies) and
-// reports their mean and histogram percentiles; it also tracks the
-// extremes. The zero value is ready to use.
+// reports their mean and histogram percentiles. The zero value is
+// ready to use.
 type Sampler struct {
 	count int64
 	sum   float64
-	min   float64
-	max   float64
 	hist  *Histogram
 }
 
@@ -30,12 +28,6 @@ func NewSampler(limit float64, bins int) *Sampler {
 
 // Add records one observation.
 func (s *Sampler) Add(v float64) {
-	if s.count == 0 || v < s.min {
-		s.min = v
-	}
-	if s.count == 0 || v > s.max {
-		s.max = v
-	}
 	s.count++
 	s.sum += v
 	if s.hist != nil {
@@ -122,10 +114,10 @@ func (h *Histogram) Percentile(p float64) float64 {
 	return h.limit
 }
 
-// QueueUsage tracks a bounded queue's occupancy over time. The owning
-// component calls Sample once per clock cycle of its domain. The
-// paper's §III metric is FullOfUsage: the fraction of non-empty
-// ("usage lifetime") cycles during which the queue was full.
+// QueueUsage is a bounded queue's occupancy over the ticks its owner
+// observed it: the value the queue package's change-driven counters
+// read out as. The paper's §III metric is FullOfUsage: the fraction of
+// non-empty ("usage lifetime") ticks during which the queue was full.
 type QueueUsage struct {
 	Name string
 
@@ -136,36 +128,28 @@ type QueueUsage struct {
 	capacity int
 }
 
-// NewQueueUsage returns a tracker for a queue with the given capacity.
-func NewQueueUsage(name string, capacity int) *QueueUsage {
-	return &QueueUsage{Name: name, capacity: capacity}
-}
-
-// Sample records the queue length for one cycle.
-func (q *QueueUsage) Sample(length int) {
-	q.sampled++
-	q.occSum += int64(length)
-	if length > 0 {
-		q.nonEmpty++
-	}
-	if length >= q.capacity {
-		q.full++
-	}
+// NewQueueUsage returns the counters of a queue with the given
+// capacity observed for sampled ticks: nonEmpty of them found it
+// non-empty, full of them at capacity, and occSum is its length summed
+// over all of them.
+func NewQueueUsage(name string, capacity int, sampled, nonEmpty, full, occSum int64) QueueUsage {
+	return QueueUsage{Name: name, capacity: capacity,
+		sampled: sampled, nonEmpty: nonEmpty, full: full, occSum: occSum}
 }
 
 // Capacity returns the tracked queue's capacity.
-func (q *QueueUsage) Capacity() int { return q.capacity }
+func (q QueueUsage) Capacity() int { return q.capacity }
 
 // SampledCycles returns how many cycles were observed.
-func (q *QueueUsage) SampledCycles() int64 { return q.sampled }
+func (q QueueUsage) SampledCycles() int64 { return q.sampled }
 
 // FullCycles returns the number of cycles the queue was at capacity.
-func (q *QueueUsage) FullCycles() int64 { return q.full }
+func (q QueueUsage) FullCycles() int64 { return q.full }
 
 // FullOfUsage returns full-cycles divided by non-empty cycles — the
 // paper's "full for X% of usage lifetime" metric — or 0 if the queue
 // was never used.
-func (q *QueueUsage) FullOfUsage() float64 {
+func (q QueueUsage) FullOfUsage() float64 {
 	if q.nonEmpty == 0 {
 		return 0
 	}
@@ -174,16 +158,20 @@ func (q *QueueUsage) FullOfUsage() float64 {
 
 // MeanOccupancy returns the average queue length over all sampled
 // cycles, or 0 if nothing was sampled.
-func (q *QueueUsage) MeanOccupancy() float64 {
+func (q QueueUsage) MeanOccupancy() float64 {
 	if q.sampled == 0 {
 		return 0
 	}
 	return float64(q.occSum) / float64(q.sampled)
 }
 
-// Merge folds other into q (used to aggregate per-partition trackers
-// into a suite-level view). Capacities must match.
-func (q *QueueUsage) Merge(other *QueueUsage) {
+// Merge folds other's counters into q (used to aggregate
+// per-partition queues into a suite-level view). Capacities must
+// match; the zero value takes other's name and capacity.
+func (q *QueueUsage) Merge(other QueueUsage) {
+	if q.capacity == 0 {
+		q.Name, q.capacity = other.Name, other.capacity
+	}
 	q.sampled += other.sampled
 	q.nonEmpty += other.nonEmpty
 	q.full += other.full
@@ -225,11 +213,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Reset zeroes the tracker for a new measurement window.
-func (q *QueueUsage) Reset() {
-	q.sampled, q.nonEmpty, q.full, q.occSum = 0, 0, 0, 0
 }
 
 // Reset zeroes the sampler (and its histogram) for a new window.

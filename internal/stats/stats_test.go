@@ -17,14 +17,11 @@ func TestSamplerBasics(t *testing.T) {
 	if s.Mean() != 20 {
 		t.Fatalf("mean = %v, want 20", s.Mean())
 	}
-	if s.min != 10 || s.max != 30 {
-		t.Fatalf("min/max = %v/%v, want 10/30", s.min, s.max)
-	}
 }
 
 func TestSamplerEmpty(t *testing.T) {
 	s := NewSampler(10, 2)
-	if s.Mean() != 0 || s.min != 0 || s.max != 0 {
+	if s.Mean() != 0 || s.Count() != 0 {
 		t.Fatalf("empty sampler should report zeros")
 	}
 	if !math.IsNaN(s.Percentile(50)) {
@@ -78,14 +75,26 @@ func TestHistogramPanicsOnBadArgs(t *testing.T) {
 	NewHistogram(0, 3)
 }
 
+// sampleAll folds per-tick queue lengths into counters, the way a
+// per-tick sample of the queue would.
+func sampleAll(capacity int, lengths ...int) QueueUsage {
+	var sampled, nonEmpty, full, occSum int64
+	for _, n := range lengths {
+		sampled++
+		occSum += int64(n)
+		if n > 0 {
+			nonEmpty++
+		}
+		if n >= capacity {
+			full++
+		}
+	}
+	return NewQueueUsage("q", capacity, sampled, nonEmpty, full, occSum)
+}
+
 func TestQueueUsageFullOfUsage(t *testing.T) {
-	q := NewQueueUsage("q", 4)
 	// 2 empty cycles, 3 non-empty of which 2 full.
-	q.Sample(0)
-	q.Sample(0)
-	q.Sample(2)
-	q.Sample(4)
-	q.Sample(4)
+	q := sampleAll(4, 0, 0, 2, 4, 4)
 	if q.SampledCycles() != 5 {
 		t.Fatalf("sampled = %d", q.SampledCycles())
 	}
@@ -104,22 +113,22 @@ func TestQueueUsageFullOfUsage(t *testing.T) {
 }
 
 func TestQueueUsageNeverUsed(t *testing.T) {
-	q := NewQueueUsage("q", 4)
-	q.Sample(0)
+	q := sampleAll(4, 0)
 	if q.FullOfUsage() != 0 {
 		t.Fatalf("unused queue FullOfUsage should be 0")
+	}
+	if (QueueUsage{}).MeanOccupancy() != 0 {
+		t.Fatalf("unsampled queue MeanOccupancy should be 0")
 	}
 }
 
 func TestQueueUsageMerge(t *testing.T) {
-	a := NewQueueUsage("a", 4)
-	b := NewQueueUsage("b", 4)
-	a.Sample(4)
-	b.Sample(0)
-	b.Sample(2)
-	a.Merge(b)
-	if a.SampledCycles() != 3 || a.nonEmpty != 2 || a.FullCycles() != 1 {
-		t.Fatalf("merge wrong: sampled=%d usage=%d full=%d", a.SampledCycles(), a.nonEmpty, a.FullCycles())
+	var a QueueUsage
+	a.Merge(sampleAll(4, 4))
+	a.Merge(sampleAll(4, 0, 2))
+	if a.SampledCycles() != 3 || a.nonEmpty != 2 || a.FullCycles() != 1 || a.Capacity() != 4 {
+		t.Fatalf("merge wrong: sampled=%d usage=%d full=%d capacity=%d",
+			a.SampledCycles(), a.nonEmpty, a.FullCycles(), a.Capacity())
 	}
 }
 
@@ -133,13 +142,21 @@ func TestMeans(t *testing.T) {
 }
 
 func TestQueueUsageProperty(t *testing.T) {
-	// full <= nonEmpty <= sampled for any sample sequence.
-	prop := func(lengths []uint8) bool {
-		q := NewQueueUsage("p", 8)
-		for _, l := range lengths {
-			q.Sample(int(l % 12))
+	// full <= nonEmpty <= sampled for any sample sequence, and merging
+	// two windows equals sampling them back to back.
+	prop := func(a, b []uint8) bool {
+		lengths := func(xs []uint8) []int {
+			ls := make([]int, len(xs))
+			for i, x := range xs {
+				ls[i] = int(x % 9)
+			}
+			return ls
 		}
-		return q.FullCycles() <= q.nonEmpty && q.nonEmpty <= q.SampledCycles()
+		la, lb := lengths(a), lengths(b)
+		q := sampleAll(8, la...)
+		q.Merge(sampleAll(8, lb...))
+		return q.FullCycles() <= q.nonEmpty && q.nonEmpty <= q.SampledCycles() &&
+			q == sampleAll(8, append(la, lb...)...)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)

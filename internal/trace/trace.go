@@ -135,7 +135,7 @@ type Trace struct {
 func Parse(name string, r io.Reader) (*Trace, error) {
 	t := &Trace{name: name, instrs: map[int]map[int][]core.Instr{}}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // lines up to 1 MiB; the buffer grows as needed
 	var cur []core.Instr
 	curSM, curWarp := -1, -1
 	// sectionLine remembers where each (sm, warp) section started, for
